@@ -59,13 +59,14 @@ VectorClockChecker::VectorClockChecker(const SystemSpec& system,
                                        VcCheckerOptions options)
     : system_(system), options_(options), conflicts_(system_) {}
 
-void VectorClockChecker::feed(const std::vector<SequencedEvent>& batch) {
-  for (const SequencedEvent& se : batch) feed(se);
+void VectorClockChecker::feed(std::vector<SequencedEvent> batch) {
+  for (SequencedEvent& se : batch) feed(std::move(se));
 }
 
-void VectorClockChecker::feed(const SequencedEvent& se) {
+void VectorClockChecker::feed(SequencedEvent se) {
   ++stats_.events;
-  ActivityState& act = activities_[se.event.activity];
+  const ActivityId id = se.event.activity;
+  ActivityState& act = activities_[id];
   const bool terminated = act.committed || act.aborted;
   switch (se.event.kind) {
     case EventKind::kInitiate:
@@ -88,7 +89,7 @@ void VectorClockChecker::feed(const SequencedEvent& se) {
           open_initiations_.erase(open_initiations_.find(act.ts));
           act.init_open = false;
         }
-        handle_commit(se.event.activity, act);
+        handle_commit(id, act);
       }
       return;
     case EventKind::kAbort:
@@ -105,7 +106,7 @@ void VectorClockChecker::feed(const SequencedEvent& se) {
     case EventKind::kInvoke:
     case EventKind::kRespond:
       if (act.aborted || act.quarantined) return;
-      act.events.push_back(se);
+      act.events.push_back(std::move(se));
       if (act.folded) {
         // The activity was folded from an incomplete buffer (a slow
         // recorder shard published late). The fold is stale; only an
@@ -115,8 +116,8 @@ void VectorClockChecker::feed(const SequencedEvent& se) {
           act.certified = false;
           --stats_.certified;
         }
-        mark_suspicious(se.event.activity, act,
-                        "events for " + argus::to_string(se.event.activity) +
+        mark_suspicious(id, act,
+                        "events for " + argus::to_string(id) +
                             " arrived after it was folded");
       }
       return;

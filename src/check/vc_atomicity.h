@@ -121,9 +121,11 @@ class VectorClockChecker {
   /// objects are counted, not checked).
   VectorClockChecker(const SystemSpec& system, VcCheckerOptions options = {});
 
-  /// Ingests one event (sequence-stamped, arrival order).
-  void feed(const SequencedEvent& se);
-  void feed(const std::vector<SequencedEvent>& batch);
+  /// Ingests one event (sequence-stamped, arrival order). The checker
+  /// keeps invocation and response events until their epoch seals, so a
+  /// caller done with its events should move them in.
+  void feed(SequencedEvent se);
+  void feed(std::vector<SequencedEvent> batch);
 
   /// Closes a window: `clock_hint` is a sequence value below which no new
   /// serialization key can be drawn (the recorder clock before the

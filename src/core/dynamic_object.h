@@ -71,7 +71,7 @@ class DynamicAtomicObject final : public ObjectBase {
     txn.touch(this);
     sched_point(op);
 
-    std::unique_lock lock(mu_);
+    auto lock = adaptive_lock(mu_);
     record(argus::invoke(id(), txn.id(), op));
 
     std::optional<Value> result;
@@ -86,7 +86,7 @@ class DynamicAtomicObject final : public ObjectBase {
   void prepare(Transaction& txn) override { txn.ensure_active(); }
 
   void commit(Transaction& txn, Timestamp /*commit_ts*/) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto it = intentions_.find(txn.id());
     if (it != intentions_.end()) {
       auto states = replay_logged<A>({committed_}, it->second.ops);
@@ -100,7 +100,7 @@ class DynamicAtomicObject final : public ObjectBase {
   }
 
   void abort(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     intentions_.erase(txn.id());
     record(argus::abort(id(), txn.id()));
     notify_object();
@@ -108,20 +108,20 @@ class DynamicAtomicObject final : public ObjectBase {
 
   [[nodiscard]] std::vector<LoggedOp> intentions_of(
       const Transaction& txn) const override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto it = intentions_.find(txn.id());
     return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
   }
 
   void reset_for_recovery() override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     committed_ = A::initial();
     intentions_.clear();
     notify_object();
   }
 
   void replay(const ReplayContext&, const LoggedOp& logged) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto states = replay_logged<A>({committed_}, {logged});
     if (states.empty()) {
       throw UsageError("recovery replay diverged at " + name() + " for " +
@@ -132,7 +132,7 @@ class DynamicAtomicObject final : public ObjectBase {
 
   /// Test hook: the committed state (no tentative effects).
   [[nodiscard]] typename A::State committed_state() const {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     return committed_;
   }
 

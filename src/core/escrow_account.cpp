@@ -15,7 +15,7 @@ Value EscrowAccount::invoke(Transaction& txn, const Operation& op) {
   txn.touch(this);
   sched_point(op);
 
-  std::unique_lock lock(mu_);
+  auto lock = adaptive_lock(mu_);
   record(argus::invoke(id(), txn.id(), op));
 
   std::optional<Value> result;
@@ -116,7 +116,7 @@ std::vector<std::shared_ptr<Transaction>> EscrowAccount::blockers(
 void EscrowAccount::prepare(Transaction& txn) { txn.ensure_active(); }
 
 void EscrowAccount::commit(Transaction& txn, Timestamp /*commit_ts*/) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   auto it = intentions_.find(txn.id());
   if (it != intentions_.end()) {
     committed_ += it->second.in - it->second.out;
@@ -127,7 +127,7 @@ void EscrowAccount::commit(Transaction& txn, Timestamp /*commit_ts*/) {
 }
 
 void EscrowAccount::abort(Transaction& txn) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   intentions_.erase(txn.id());
   record(argus::abort(id(), txn.id()));
   notify_object();
@@ -135,20 +135,20 @@ void EscrowAccount::abort(Transaction& txn) {
 
 std::vector<LoggedOp> EscrowAccount::intentions_of(
     const Transaction& txn) const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   auto it = intentions_.find(txn.id());
   return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
 }
 
 void EscrowAccount::reset_for_recovery() {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   committed_ = 0;
   intentions_.clear();
   notify_object();
 }
 
 void EscrowAccount::replay(const ReplayContext&, const LoggedOp& logged) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (logged.op.name == "deposit") {
     committed_ += logged.op.args[0].as_int();
   } else if (logged.op.name == "withdraw" && logged.result == ok()) {
@@ -158,7 +158,7 @@ void EscrowAccount::replay(const ReplayContext&, const LoggedOp& logged) {
 }
 
 std::int64_t EscrowAccount::committed_balance() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return committed_;
 }
 

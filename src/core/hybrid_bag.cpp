@@ -20,24 +20,19 @@ Value HybridBag::invoke_read_only(Transaction& txn, const Operation& op) {
                      " on " + name());
   }
   const Timestamp t = txn.start_ts();
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (initiated_.insert(txn.id()).second) {
     record(initiate(id(), txn.id(), t));
   }
   record(argus::invoke(id(), txn.id(), op));
 
-  // Snapshot below t by replaying the committed op log prefix.
-  BagAdt::State state;
-  for (const auto& [ts, logged] : log_) {
-    if (ts >= t) break;
-    for (auto& [result, next] : BagAdt::step(state, logged.op)) {
-      if (result == logged.result) {
-        state = std::move(next);
-        break;
-      }
-    }
+  // Snapshot below t. Every logged remove result names its element, so
+  // the candidate set is a singleton.
+  const auto& states = log_.states_below(t);
+  if (states.empty()) {
+    throw UsageError("committed log not replayable at " + name());
   }
-  const auto outcomes = BagAdt::step(state, op);
+  const auto outcomes = BagAdt::step(states.front(), op);
   if (outcomes.empty()) {
     throw UsageError("read-only operation " + to_string(op) +
                      " not enabled at snapshot of " + name());
@@ -47,7 +42,7 @@ Value HybridBag::invoke_read_only(Transaction& txn, const Operation& op) {
 }
 
 Value HybridBag::invoke_update(Transaction& txn, const Operation& op) {
-  std::unique_lock lock(mu_);
+  auto lock = adaptive_lock(mu_);
   record(argus::invoke(id(), txn.id(), op));
 
   auto& mine = intentions_[txn.id()];
@@ -107,8 +102,9 @@ std::vector<std::shared_ptr<Transaction>> HybridBag::blockers(
 void HybridBag::prepare(Transaction& txn) { txn.ensure_active(); }
 
 void HybridBag::commit(Transaction& txn, Timestamp commit_ts) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (txn.read_only()) {
+    initiated_.erase(txn.id());
     record(argus::commit(id(), txn.id()));
     return;
   }
@@ -125,7 +121,7 @@ void HybridBag::commit(Transaction& txn, Timestamp commit_ts) {
       if (logged.op.name == "insert") {
         ++committed_[logged.op.args[0].as_int()];
       }
-      log_.emplace_back(commit_ts, std::move(logged));
+      log_.append(commit_ts, std::move(logged));
     }
     intentions_.erase(it);
   }
@@ -134,20 +130,21 @@ void HybridBag::commit(Transaction& txn, Timestamp commit_ts) {
 }
 
 void HybridBag::abort(Transaction& txn) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
+  if (txn.read_only()) initiated_.erase(txn.id());
   intentions_.erase(txn.id());  // claims released with the entry
   record(argus::abort(id(), txn.id()));
   notify_object();
 }
 
 std::vector<LoggedOp> HybridBag::intentions_of(const Transaction& txn) const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   auto it = intentions_.find(txn.id());
   return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
 }
 
 void HybridBag::reset_for_recovery() {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   committed_.clear();
   log_.clear();
   intentions_.clear();
@@ -156,19 +153,24 @@ void HybridBag::reset_for_recovery() {
 }
 
 void HybridBag::replay(const ReplayContext& ctx, const LoggedOp& logged) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (logged.op.name == "insert") {
     ++committed_[logged.op.args[0].as_int()];
   } else if (logged.op.name == "remove" && logged.result.is_int()) {
     auto it = committed_.find(logged.result.as_int());
     if (it != committed_.end() && --it->second <= 0) committed_.erase(it);
   }
-  log_.emplace_back(ctx.commit_ts, logged);
+  log_.append(ctx.commit_ts, logged);
 }
 
 std::map<std::int64_t, std::int64_t> HybridBag::committed_contents() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return committed_;
+}
+
+std::size_t HybridBag::initiated_count() const {
+  const auto lock = adaptive_lock(mu_);
+  return initiated_.size();
 }
 
 }  // namespace argus

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/object_base.h"
+#include "core/snapshot_log.h"
 #include "spec/adts/bag.h"
 #include "txn/stable_log.h"
 
@@ -56,6 +57,10 @@ class HybridBag final : public ObjectBase {
   [[nodiscard]] std::map<std::int64_t, std::int64_t> committed_contents()
       const;
 
+  /// Test hook: read-only activities between their first snapshot read
+  /// here and their commit or abort.
+  [[nodiscard]] std::size_t initiated_count() const;
+
  private:
   struct TxnEntry {
     std::weak_ptr<Transaction> owner;
@@ -73,7 +78,7 @@ class HybridBag final : public ObjectBase {
   std::vector<std::shared_ptr<Transaction>> blockers(ActivityId self);
 
   std::map<std::int64_t, std::int64_t> committed_;   // guarded by mu_
-  std::vector<std::pair<Timestamp, LoggedOp>> log_;  // guarded by mu_
+  SnapshotLog<BagAdt> log_;                          // guarded by mu_
   std::map<ActivityId, TxnEntry> intentions_;        // guarded by mu_
   std::set<ActivityId> initiated_;                   // guarded by mu_
 };

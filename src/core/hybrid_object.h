@@ -7,18 +7,21 @@
 // tiny timestamp stage), so commit timestamps are consistent with
 // precedes at every object (§4.3.3's first required property); applies
 // run in commit-timestamp order, so the object appends the transaction's
-// operations to a committed log that grows timestamp-sorted and records
-// the <commit(t),x,a> event.
+// operations to a committed SnapshotLog that grows timestamp-sorted and
+// records the <commit(t),x,a> event.
 //
 // Read-only activities choose their timestamp at initiation: their begin
 // draws a fresh timestamp and waits until the manager's visibility
 // watermark covers it, so every commit below the timestamp has fully
 // applied before the activity runs. They then evaluate queries against
-// the replayed log prefix below their timestamp — they take no locks,
-// hold no intentions, never wait and never abort, and are invisible to
-// updates. This realizes the paper's answer to Lamport's audit problem
-// (§4.3.3): audits see a full serializable snapshot yet "do not
-// interfere with any updates".
+// the log's state below their timestamp — they take no locks, hold no
+// intentions, never wait and never abort, and are invisible to updates.
+// This realizes the paper's answer to Lamport's audit problem (§4.3.3):
+// audits see a full serializable snapshot yet "do not interfere with any
+// updates". The snapshot costs amortized O(1) replay steps, not
+// O(history): SnapshotLog (core/snapshot_log.h) resumes from a memoized
+// cursor or a sparse checkpoint, and keeps that upkeep on the read path
+// so commit() still only appends.
 #pragma once
 
 #include <map>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "core/object_base.h"
+#include "core/snapshot_log.h"
 #include "core/validation.h"
 #include "spec/adt_spec.h"
 
@@ -53,8 +57,9 @@ class HybridAtomicObject final : public ObjectBase {
   void prepare(Transaction& txn) override { txn.ensure_active(); }
 
   void commit(Transaction& txn, Timestamp commit_ts) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     if (txn.read_only()) {
+      initiated_.erase(txn.id());
       record(argus::commit(id(), txn.id()));
       return;
     }
@@ -63,7 +68,7 @@ class HybridAtomicObject final : public ObjectBase {
       auto states = replay_logged<A>({committed_}, it->second.ops);
       if (!states.empty()) committed_ = std::move(states.front());
       for (LoggedOp& logged : it->second.ops) {
-        log_.emplace_back(commit_ts, std::move(logged));
+        log_.append(commit_ts, std::move(logged));
       }
       intentions_.erase(it);
     }
@@ -72,7 +77,8 @@ class HybridAtomicObject final : public ObjectBase {
   }
 
   void abort(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
+    if (txn.read_only()) initiated_.erase(txn.id());
     intentions_.erase(txn.id());
     record(argus::abort(id(), txn.id()));
     notify_object();
@@ -80,13 +86,13 @@ class HybridAtomicObject final : public ObjectBase {
 
   [[nodiscard]] std::vector<LoggedOp> intentions_of(
       const Transaction& txn) const override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto it = intentions_.find(txn.id());
     return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
   }
 
   void reset_for_recovery() override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     committed_ = A::initial();
     log_.clear();
     intentions_.clear();
@@ -95,19 +101,26 @@ class HybridAtomicObject final : public ObjectBase {
   }
 
   void replay(const ReplayContext& ctx, const LoggedOp& logged) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto states = replay_logged<A>({committed_}, {logged});
     if (states.empty()) {
       throw UsageError("recovery replay diverged at " + name() + " for " +
                        to_string(logged.op));
     }
     committed_ = std::move(states.front());
-    log_.emplace_back(ctx.commit_ts, logged);
+    log_.append(ctx.commit_ts, logged);
   }
 
   [[nodiscard]] typename A::State committed_state() const {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     return committed_;
+  }
+
+  /// Test hook: read-only activities between their first snapshot read
+  /// here and their commit or abort.
+  [[nodiscard]] std::size_t initiated_count() const {
+    const auto lock = adaptive_lock(mu_);
+    return initiated_.size();
   }
 
  private:
@@ -122,7 +135,7 @@ class HybridAtomicObject final : public ObjectBase {
                        to_string(op) + " on " + name());
     }
     const Timestamp t = txn.start_ts();
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
@@ -133,12 +146,7 @@ class HybridAtomicObject final : public ObjectBase {
     // order, and recovery replays the timestamp-sorted stable log), and
     // the watermark guaranteed every commit below t had fully applied
     // before this activity's begin returned, so this is a true prefix.
-    std::vector<LoggedOp> prefix;
-    for (const auto& [ts, logged] : log_) {
-      if (ts >= t) break;
-      prefix.push_back(logged);
-    }
-    auto states = replay_logged<A>({A::initial()}, prefix);
+    const auto& states = log_.states_below(t);
     if (states.empty()) {
       throw UsageError("committed log not replayable at " + name());
     }
@@ -152,7 +160,7 @@ class HybridAtomicObject final : public ObjectBase {
   }
 
   Value invoke_update(Transaction& txn, const Operation& op) {
-    std::unique_lock lock(mu_);
+    auto lock = adaptive_lock(mu_);
     record(argus::invoke(id(), txn.id(), op));
 
     std::optional<Value> result;
@@ -210,7 +218,7 @@ class HybridAtomicObject final : public ObjectBase {
   }
 
   typename A::State committed_ = A::initial();        // guarded by mu_
-  std::vector<std::pair<Timestamp, LoggedOp>> log_;   // guarded by mu_
+  SnapshotLog<A> log_;                                // guarded by mu_
   std::map<ActivityId, TxnEntry> intentions_;         // guarded by mu_
   std::set<ActivityId> initiated_;                    // guarded by mu_
 };

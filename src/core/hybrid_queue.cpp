@@ -22,25 +22,19 @@ Value HybridFifoQueue::invoke_read_only(Transaction& txn,
                      " on " + name());
   }
   const Timestamp t = txn.start_ts();
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (initiated_.insert(txn.id()).second) {
     record(initiate(id(), txn.id(), t));
   }
   record(argus::invoke(id(), txn.id(), op));
 
-  // Snapshot below t: replay the committed operation log prefix.
-  FifoQueueAdt::State state;
-  for (const auto& [ts, logged] : log_) {
-    if (ts >= t) break;
-    auto outcomes = FifoQueueAdt::step(state, logged.op);
-    for (auto& [result, next] : outcomes) {
-      if (result == logged.result) {
-        state = std::move(next);
-        break;
-      }
-    }
+  // Snapshot below t; the queue is deterministic, so the candidate set
+  // is a singleton.
+  const auto& states = log_.states_below(t);
+  if (states.empty()) {
+    throw UsageError("committed log not replayable at " + name());
   }
-  const auto outcomes = FifoQueueAdt::step(state, op);
+  const auto outcomes = FifoQueueAdt::step(states.front(), op);
   if (outcomes.empty()) {
     throw UsageError("read-only operation " + to_string(op) +
                      " not enabled at snapshot of " + name());
@@ -50,7 +44,7 @@ Value HybridFifoQueue::invoke_read_only(Transaction& txn,
 }
 
 Value HybridFifoQueue::invoke_update(Transaction& txn, const Operation& op) {
-  std::unique_lock lock(mu_);
+  auto lock = adaptive_lock(mu_);
   record(argus::invoke(id(), txn.id(), op));
 
   auto& mine = intentions_[txn.id()];
@@ -116,8 +110,9 @@ std::vector<std::shared_ptr<Transaction>> HybridFifoQueue::dequeue_blockers(
 void HybridFifoQueue::prepare(Transaction& txn) { txn.ensure_active(); }
 
 void HybridFifoQueue::commit(Transaction& txn, Timestamp commit_ts) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (txn.read_only()) {
+    initiated_.erase(txn.id());
     record(argus::commit(id(), txn.id()));
     return;
   }
@@ -132,7 +127,7 @@ void HybridFifoQueue::commit(Transaction& txn, Timestamp commit_ts) {
       if (logged.op.name == "enqueue") {
         committed_.push_back(logged.op.args[0].as_int());
       }
-      log_.emplace_back(commit_ts, std::move(logged));
+      log_.append(commit_ts, std::move(logged));
     }
     intentions_.erase(it);
   }
@@ -141,7 +136,8 @@ void HybridFifoQueue::commit(Transaction& txn, Timestamp commit_ts) {
 }
 
 void HybridFifoQueue::abort(Transaction& txn) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
+  if (txn.read_only()) initiated_.erase(txn.id());
   intentions_.erase(txn.id());
   record(argus::abort(id(), txn.id()));
   notify_object();
@@ -149,13 +145,13 @@ void HybridFifoQueue::abort(Transaction& txn) {
 
 std::vector<LoggedOp> HybridFifoQueue::intentions_of(
     const Transaction& txn) const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   auto it = intentions_.find(txn.id());
   return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
 }
 
 void HybridFifoQueue::reset_for_recovery() {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   committed_.clear();
   log_.clear();
   intentions_.clear();
@@ -164,18 +160,23 @@ void HybridFifoQueue::reset_for_recovery() {
 }
 
 void HybridFifoQueue::replay(const ReplayContext& ctx, const LoggedOp& logged) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   if (logged.op.name == "enqueue") {
     committed_.push_back(logged.op.args[0].as_int());
   } else if (logged.op.name == "dequeue" && !committed_.empty()) {
     committed_.erase(committed_.begin());
   }
-  log_.emplace_back(ctx.commit_ts, logged);
+  log_.append(ctx.commit_ts, logged);
 }
 
 std::vector<std::int64_t> HybridFifoQueue::committed_items() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return committed_;
+}
+
+std::size_t HybridFifoQueue::initiated_count() const {
+  const auto lock = adaptive_lock(mu_);
+  return initiated_.size();
 }
 
 }  // namespace argus

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/object_base.h"
+#include "core/snapshot_log.h"
 #include "spec/adts/fifo_queue.h"
 #include "txn/stable_log.h"
 
@@ -54,6 +55,10 @@ class HybridFifoQueue final : public ObjectBase {
   /// Test hook: the committed queue contents.
   [[nodiscard]] std::vector<std::int64_t> committed_items() const;
 
+  /// Test hook: read-only activities between their first snapshot read
+  /// here and their commit or abort.
+  [[nodiscard]] std::size_t initiated_count() const;
+
  private:
   struct TxnEntry {
     std::weak_ptr<Transaction> owner;
@@ -68,7 +73,7 @@ class HybridFifoQueue final : public ObjectBase {
   std::vector<std::shared_ptr<Transaction>> dequeue_blockers(ActivityId self);
 
   std::vector<std::int64_t> committed_;              // guarded by mu_
-  std::vector<std::pair<Timestamp, LoggedOp>> log_;  // committed ops by ts
+  SnapshotLog<FifoQueueAdt> log_;                    // guarded by mu_
   std::map<ActivityId, TxnEntry> intentions_;        // guarded by mu_
   std::set<ActivityId> initiated_;                   // guarded by mu_
 };

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/adaptive_lock.h"
 #include "dsched/wait_policy.h"
 #include "obs/event_sink.h"
 #include "txn/managed_object.h"

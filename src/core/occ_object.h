@@ -16,8 +16,8 @@
 // counter has not moved since the transaction's first access.
 //
 // kMultiVersion storage (the MVCC/snapshot-read mode) additionally keeps
-// the committed operations as a timestamp-keyed version log, exactly like
-// HybridAtomicObject's: read-only transactions replay the prefix strictly
+// the committed operations in a SnapshotLog, exactly like
+// HybridAtomicObject's: read-only transactions read the state strictly
 // below their initiation timestamp — they take no buffers, never validate
 // and never abort, the same audit fast path hybrid atomicity provides
 // (§4.3.3), here grafted onto an OCC update path.
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/object_base.h"
+#include "core/snapshot_log.h"
 #include "core/validation.h"
 #include "spec/adt_spec.h"
 
@@ -76,7 +77,7 @@ class OccAtomicObject final : public ObjectBase {
   /// serialization point), never admits unsoundly (it only aborts).
   void prepare(Transaction& txn) override {
     txn.ensure_active();
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto it = entries_.find(txn.id());
     if (it == entries_.end() || it->second.base_version == version_) return;
     if (replay_logged<A>({committed_}, it->second.ops).empty()) {
@@ -93,7 +94,7 @@ class OccAtomicObject final : public ObjectBase {
   }
 
   void validate_serial(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto it = entries_.find(txn.id());
     if (it == entries_.end()) return;
     if (it->second.base_version == version_) return;  // nothing moved
@@ -103,8 +104,9 @@ class OccAtomicObject final : public ObjectBase {
   }
 
   void commit(Transaction& txn, Timestamp commit_ts) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     if (storage_ == OccStorage::kMultiVersion && txn.read_only()) {
+      initiated_.erase(txn.id());
       record(argus::commit(id(), txn.id()));
       return;
     }
@@ -119,7 +121,7 @@ class OccAtomicObject final : public ObjectBase {
       for (LoggedOp& logged : it->second.ops) {
         if (!A::is_read_only(logged.op)) wrote = true;
         if (storage_ == OccStorage::kMultiVersion) {
-          versions_.emplace_back(commit_ts, std::move(logged));
+          versions_.append(commit_ts, std::move(logged));
         }
       }
       if (wrote) ++version_;
@@ -130,7 +132,8 @@ class OccAtomicObject final : public ObjectBase {
   }
 
   void abort(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
+    if (txn.read_only()) initiated_.erase(txn.id());
     entries_.erase(txn.id());
     record(argus::abort(id(), txn.id()));
     notify_object();
@@ -138,13 +141,13 @@ class OccAtomicObject final : public ObjectBase {
 
   [[nodiscard]] std::vector<LoggedOp> intentions_of(
       const Transaction& txn) const override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto it = entries_.find(txn.id());
     return it == entries_.end() ? std::vector<LoggedOp>{} : it->second.ops;
   }
 
   void reset_for_recovery() override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     committed_ = A::initial();
     version_ = 0;
     versions_.clear();
@@ -154,7 +157,7 @@ class OccAtomicObject final : public ObjectBase {
   }
 
   void replay(const ReplayContext& ctx, const LoggedOp& logged) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto states = replay_logged<A>({committed_}, {logged});
     if (states.empty()) {
       throw UsageError("recovery replay diverged at " + name() + " for " +
@@ -163,19 +166,26 @@ class OccAtomicObject final : public ObjectBase {
     committed_ = std::move(states.front());
     if (!A::is_read_only(logged.op)) ++version_;
     if (storage_ == OccStorage::kMultiVersion) {
-      versions_.emplace_back(ctx.commit_ts, logged);
+      versions_.append(ctx.commit_ts, logged);
     }
   }
 
   [[nodiscard]] typename A::State committed_state() const {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     return committed_;
   }
 
   /// Committed mutations so far (the validation fast path's clock).
   [[nodiscard]] std::uint64_t committed_version() const {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     return version_;
+  }
+
+  /// Test hook: snapshot readers between their first read here and their
+  /// commit or abort.
+  [[nodiscard]] std::size_t initiated_count() const {
+    const auto lock = adaptive_lock(mu_);
+    return initiated_.size();
   }
 
  private:
@@ -185,7 +195,7 @@ class OccAtomicObject final : public ObjectBase {
   };
 
   Value invoke_optimistic(Transaction& txn, const Operation& op) {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     record(argus::invoke(id(), txn.id(), op));
 
     auto [it, inserted] = entries_.try_emplace(txn.id());
@@ -226,17 +236,12 @@ class OccAtomicObject final : public ObjectBase {
                        to_string(op) + " on " + name());
     }
     const Timestamp t = txn.start_ts();
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
     record(argus::invoke(id(), txn.id(), op));
-    std::vector<LoggedOp> prefix;
-    for (const auto& [ts, logged] : versions_) {
-      if (ts >= t) break;
-      prefix.push_back(logged);
-    }
-    auto states = replay_logged<A>({A::initial()}, prefix);
+    const auto& states = versions_.states_below(t);
     if (states.empty()) {
       throw UsageError("version log not replayable at " + name());
     }
@@ -253,7 +258,7 @@ class OccAtomicObject final : public ObjectBase {
   const OccStorage storage_;
   typename A::State committed_ = A::initial();  // guarded by mu_
   std::uint64_t version_{0};                    // committed mutations
-  std::vector<std::pair<Timestamp, LoggedOp>> versions_;  // kMultiVersion
+  SnapshotLog<A> versions_;                     // kMultiVersion only
   std::map<ActivityId, TxnEntry> entries_;      // guarded by mu_
   std::set<ActivityId> initiated_;              // guarded by mu_
 };

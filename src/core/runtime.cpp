@@ -135,6 +135,11 @@ void Runtime::register_collectors() {
                      "Clock distance the watermark trails by", "gauge");
   metrics_->describe("argus_inflight_commits",
                      "Commits between timestamp draw and apply", "gauge");
+  metrics_->describe("argus_clock_turn_parks_total",
+                     "Apply-turn waits that spun out and parked", "counter");
+  metrics_->describe("argus_clock_cover_parks_total",
+                     "Read-only watermark waits that spun out and parked",
+                     "counter");
   metrics_->describe("argus_deadlocks_resolved_total",
                      "Deadlock cycles broken by victim selection", "counter");
   metrics_->describe("argus_recovery_replayed_records_total",
@@ -175,6 +180,12 @@ void Runtime::register_collectors() {
     out.push_back({"argus_watermark_lag", {}, double(p.watermark_lag())});
     out.push_back(
         {"argus_inflight_commits", {}, double(tm_.clock().inflight())});
+    out.push_back({"argus_clock_turn_parks_total",
+                   {},
+                   double(tm_.clock().turn_parks())});
+    out.push_back({"argus_clock_cover_parks_total",
+                   {},
+                   double(tm_.clock().cover_parks())});
     // Lock-mode machinery: under OCC/MVCC objects never block, the
     // detector never runs, and emitting its zero would read as "deadlock
     // freedom measured" when nothing was measured at all.

@@ -57,7 +57,7 @@ class StaticAtomicObject final : public ObjectBase {
     sched_point(op);
     const Timestamp t = txn.start_ts();
 
-    std::unique_lock lock(mu_);
+    auto lock = adaptive_lock(mu_);
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
@@ -85,7 +85,8 @@ class StaticAtomicObject final : public ObjectBase {
   void prepare(Transaction& txn) override { txn.ensure_active(); }
 
   void commit(Transaction& txn, Timestamp /*commit_ts*/) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
+    initiated_.erase(txn.id());
     for (auto& [key, rec] : log_) {
       if (rec.txn == txn.id()) rec.committed = true;
     }
@@ -94,18 +95,19 @@ class StaticAtomicObject final : public ObjectBase {
   }
 
   void abort(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     const auto removed = std::erase_if(
         log_, [&](const auto& kv) { return kv.second.txn == txn.id(); });
     if (removed > 0) cache_valid_ = false;
     seq_.erase(txn.id());
+    initiated_.erase(txn.id());
     record(argus::abort(id(), txn.id()));
     notify_object();
   }
 
   [[nodiscard]] std::vector<LoggedOp> intentions_of(
       const Transaction& txn) const override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     std::vector<LoggedOp> out;
     for (const auto& [key, rec] : log_) {
       if (rec.txn == txn.id()) out.push_back(rec.logged);
@@ -114,7 +116,7 @@ class StaticAtomicObject final : public ObjectBase {
   }
 
   void reset_for_recovery() override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     log_.clear();
     seq_.clear();
     initiated_.clear();
@@ -123,7 +125,7 @@ class StaticAtomicObject final : public ObjectBase {
   }
 
   void replay(const ReplayContext& ctx, const LoggedOp& logged) override {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     cache_valid_ = false;
     // Reinsert at the transaction's *initiation* timestamp: that is the
     // serialization position under static atomicity.
@@ -137,7 +139,7 @@ class StaticAtomicObject final : public ObjectBase {
   /// Test hook: state reached by replaying all committed operations in
   /// timestamp order.
   [[nodiscard]] std::optional<typename A::State> committed_state() const {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     std::vector<LoggedOp> ops;
     for (const auto& [key, rec] : log_) {
       if (rec.committed) ops.push_back(rec.logged);
@@ -145,6 +147,13 @@ class StaticAtomicObject final : public ObjectBase {
     auto states = replay_logged<A>({A::initial()}, ops);
     if (states.empty()) return std::nullopt;
     return states.front();
+  }
+
+  /// Test hook: transactions between their first invocation here and
+  /// their commit or abort.
+  [[nodiscard]] std::size_t initiated_count() const {
+    const auto lock = adaptive_lock(mu_);
+    return initiated_.size();
   }
 
  private:

@@ -87,7 +87,9 @@ std::vector<std::vector<SequencedEvent>> FlightRecorder::copy_shards() const {
     slice.reserve(shard->buffer.size());
     if (options_.shard_capacity == 0 ||
         shard->buffer.size() < options_.shard_capacity) {
-      slice = shard->buffer;
+      for (std::size_t i = 0; i < shard->buffer.size(); ++i) {
+        slice.push_back(shard->buffer[i]);
+      }
     } else {
       // Ring: oldest retained entry sits at appended % capacity.
       const std::size_t cap = options_.shard_capacity;
@@ -151,27 +153,41 @@ std::vector<SequencedEvent> FlightRecorder::drain_new() {
     shards.reserve(shards_.size());
     for (const auto& s : shards_) shards.push_back(s.get());
   }
-  std::vector<std::vector<SequencedEvent>> slices;
-  for (Shard* shard : shards) {
+  // Size the batch first and copy it once, into one buffer. A drain that
+  // falls behind returns a large batch; per-shard slices merged into a
+  // second vector would hold it twice.
+  std::vector<std::uint64_t> ends(shards.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::scoped_lock lock(shards[i]->mu);
+    const std::uint64_t oldest =
+        shards[i]->appended - shards[i]->buffer.size();
+    ends[i] = shards[i]->appended;
+    total += static_cast<std::size_t>(
+        ends[i] - std::max(shards[i]->drained, oldest));
+  }
+  std::vector<SequencedEvent> merged;
+  merged.reserve(total);
+  const std::size_t cap = options_.shard_capacity;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    Shard* shard = shards[i];
     const std::scoped_lock lock(shard->mu);
     const std::uint64_t oldest = shard->appended - shard->buffer.size();
     // Ring eviction may have discarded undrained events; skip the gap.
     if (shard->drained < oldest) shard->drained = oldest;
-    if (shard->drained == shard->appended) continue;
-    std::vector<SequencedEvent> slice;
-    slice.reserve(static_cast<std::size_t>(shard->appended - shard->drained));
-    for (std::uint64_t logical = shard->drained; logical < shard->appended;
-         ++logical) {
-      const std::size_t cap = options_.shard_capacity;
-      const std::size_t index =
-          cap == 0 ? static_cast<std::size_t>(logical - oldest)
-                   : static_cast<std::size_t>(logical % cap);
-      slice.push_back(shard->buffer[index]);
+    for (; shard->drained < ends[i]; ++shard->drained) {
+      const std::uint64_t logical = shard->drained;
+      merged.push_back(
+          shard->buffer[cap == 0 ? static_cast<std::size_t>(logical - oldest)
+                                 : static_cast<std::size_t>(logical % cap)]);
     }
-    shard->drained = shard->appended;
-    slices.push_back(std::move(slice));
   }
-  return merge_slices(std::move(slices));
+  // Each shard's run is already in sequence order.
+  std::sort(merged.begin(), merged.end(),
+            [](const SequencedEvent& a, const SequencedEvent& b) {
+              return a.seq < b.seq;
+            });
+  return merged;
 }
 
 void FlightRecorder::clear() {

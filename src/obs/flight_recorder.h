@@ -125,12 +125,42 @@ class FlightRecorder final : public EventSink {
   }
 
  private:
+  /// A shard's events, stored in fixed-size chunks so that growing never
+  /// copies them. A doubling std::vector briefly holds its old and new
+  /// arrays; on long runs those transient copies, not the events, set
+  /// the process's peak memory.
+  class EventBuffer {
+   public:
+    static constexpr std::size_t kChunk = 4096;
+
+    void push_back(SequencedEvent e) {
+      if (size_ % kChunk == 0) chunks_.emplace_back().reserve(kChunk);
+      chunks_.back().push_back(std::move(e));
+      ++size_;
+    }
+    [[nodiscard]] SequencedEvent& operator[](std::size_t i) {
+      return chunks_[i / kChunk][i % kChunk];
+    }
+    [[nodiscard]] const SequencedEvent& operator[](std::size_t i) const {
+      return chunks_[i / kChunk][i % kChunk];
+    }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    void clear() {
+      chunks_.clear();
+      size_ = 0;
+    }
+
+   private:
+    std::vector<std::vector<SequencedEvent>> chunks_;
+    std::size_t size_{0};
+  };
+
   struct Shard {
     mutable std::mutex mu;
     // Logical stream: events [appended - buffer.size(), appended). In
     // bounded mode `buffer` is a ring indexed modulo capacity; in
     // unbounded mode it simply grows.
-    std::vector<SequencedEvent> buffer;
+    EventBuffer buffer;
     std::uint64_t appended{0};   // events ever appended to this shard
     std::uint64_t drained{0};    // logical index of the next undrained event
   };

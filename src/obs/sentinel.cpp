@@ -197,10 +197,10 @@ void AtomicitySentinel::poll() {
       check_window();
       maybe_checkpoint();
     } else {
-      const std::vector<SequencedEvent> batch = recorder_.drain_new();
+      std::vector<SequencedEvent> batch = recorder_.drain_new();
       events_seen_.fetch_add(batch.size(), std::memory_order_relaxed);
       if (events_metric_ != nullptr) events_metric_->inc(batch.size());
-      vc_->feed(batch);
+      vc_->feed(std::move(batch));  // freed before the epoch seals
       // The frontier hint is the clock before the *previous* batch: any
       // serialization key not yet drawn exceeds it (same reasoning as
       // the exact mode's checkpoint frontier).

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/adaptive_lock.h"
 #include "dsched/wait_policy.h"
 
 namespace argus {
@@ -42,7 +43,7 @@ TxnExecutor::~TxnExecutor() { shutdown(); }
 
 void TxnExecutor::submit(Task task) {
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     if (stop_) throw UsageError("submit after executor shutdown");
     queue_.push_back(std::move(task));
     ++submitted_;
@@ -54,13 +55,13 @@ void TxnExecutor::submit(Task task) {
 }
 
 void TxnExecutor::drain() {
-  std::unique_lock lock(mu_);
+  auto lock = adaptive_lock(mu_);
   while (completed_ < submitted_) wait_round(&idle_cv_, lock, idle_cv_);
 }
 
 void TxnExecutor::shutdown() {
   {
-    std::unique_lock lock(mu_);
+    auto lock = adaptive_lock(mu_);
     while (completed_ < submitted_) wait_round(&idle_cv_, lock, idle_cv_);
     if (stop_ && owned_workers_.empty()) return;
     stop_ = true;
@@ -75,7 +76,7 @@ void TxnExecutor::worker_loop() {
   for (;;) {
     Task task;
     {
-      std::unique_lock lock(mu_);
+      auto lock = adaptive_lock(mu_);
       while (!stop_ && queue_.empty()) wait_round(&work_cv_, lock, work_cv_);
       if (queue_.empty()) break;  // stop_ set and nothing left to run
       task = std::move(queue_.front());
@@ -84,14 +85,18 @@ void TxnExecutor::worker_loop() {
                                 std::memory_order_relaxed);
     }
     run_task(task);
+    bool idle = false;
     {
-      const std::scoped_lock lock(mu_);
+      const auto lock = adaptive_lock(mu_);
       ++completed_;
+      idle = completed_ == submitted_;
     }
     stats_->completed.fetch_add(1, std::memory_order_relaxed);
-    notify(idle_cv_);
+    // drain() and shutdown() wait only for the last task; waking them
+    // after every task would cost each wake-up a trip through mu_.
+    if (idle) notify(idle_cv_);
   }
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   --workers_running_;
 }
 

@@ -1,27 +1,43 @@
 #include "txn/clock.h"
 
+#include "common/adaptive_lock.h"
 #include "dsched/wait_policy.h"
 
 namespace argus {
 
 Timestamp LamportClock::begin_commit() {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   const Timestamp ts = next();
   inflight_.insert(ts);
   if (ts > last_commit_) last_commit_ = ts;
+  publish_min_locked();
   return ts;
 }
 
 void LamportClock::wait_for_turn(Timestamp ts) {
-  std::unique_lock lock(mu_);
   WaitPolicy* policy = policy_.load(std::memory_order_acquire);
+  const auto my_turn = [&] {
+    return !inflight_.empty() && *inflight_.begin() == ts;
+  };
   if (policy == nullptr) {
-    cv_.wait(lock, [&] {
-      return !inflight_.empty() && *inflight_.begin() == ts;
-    });
+    // `ts` is in flight, so the published minimum reads `ts` exactly when
+    // every earlier commit has retired — and stays `ts` until this
+    // committer retires it.
+    if (spin_until(
+            [&] {
+              return min_inflight_.load(std::memory_order_acquire) == ts;
+            },
+            kWaitSpin)) {
+      return;
+    }
+    auto lock = adaptive_lock(mu_);
+    if (my_turn()) return;
+    turn_parks_.fetch_add(1, std::memory_order_relaxed);
+    cv_.wait(lock, my_turn);
     return;
   }
-  while (!(!inflight_.empty() && *inflight_.begin() == ts)) {
+  std::unique_lock lock(mu_);
+  while (!my_turn()) {
     policy->wait_round(LaneHint{WaitPoint::kClockTurn}, &cv_, lock, cv_,
                        std::chrono::microseconds(1000));
   }
@@ -29,8 +45,9 @@ void LamportClock::wait_for_turn(Timestamp ts) {
 
 void LamportClock::finish_commit(Timestamp ts) {
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     inflight_.erase(ts);
+    publish_min_locked();
     // Everything below the smallest remaining in-flight commit (or below
     // the largest timestamp ever handed to a committer, when none remain)
     // has fully applied or aborted.
@@ -48,10 +65,11 @@ void LamportClock::finish_commit(Timestamp ts) {
 
 void LamportClock::restamp_commit(Timestamp from, Timestamp to) {
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     inflight_.erase(from);
     inflight_.insert(to);
     if (to > last_commit_) last_commit_ = to;
+    publish_min_locked();
   }
   observe(to);
   // Erasing `from` may have made another in-flight timestamp the minimum.
@@ -64,7 +82,7 @@ void LamportClock::restamp_commit(Timestamp from, Timestamp to) {
 void LamportClock::observe_committed(Timestamp ts) {
   observe(ts);
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     if (ts > last_commit_) last_commit_ = ts;
     if (covered_locked(ts) && ts > watermark_.load(std::memory_order_relaxed)) {
       watermark_.store(ts, std::memory_order_release);
@@ -77,27 +95,44 @@ void LamportClock::observe_committed(Timestamp ts) {
 }
 
 Timestamp LamportClock::read_only_begin() {
-  std::unique_lock lock(mu_);
-  const Timestamp ts = next();
   WaitPolicy* policy = policy_.load(std::memory_order_acquire);
-  if (policy == nullptr) {
-    cv_.wait(lock, [&] { return covered_locked(ts); });
-    return ts;
+  Timestamp ts;
+  {
+    // Drawn under mu_: begin_commit draws and registers under it too, so
+    // every commit timestamp below `ts` is already in the table.
+    const auto lock = adaptive_lock(mu_);
+    ts = next();
   }
-  while (!covered_locked(ts)) {
-    policy->wait_round(LaneHint{WaitPoint::kClockCovered}, &cv_, lock, cv_,
-                       std::chrono::microseconds(1000));
-  }
+  await_covered(ts, policy);
   return ts;
 }
 
 void LamportClock::wait_covered(Timestamp ts) {
-  std::unique_lock lock(mu_);
-  WaitPolicy* policy = policy_.load(std::memory_order_acquire);
+  {
+    // The caller advanced the clock past `ts`, so a commit timestamp
+    // below it was drawn earlier, under mu_, and is in the table (and in
+    // min_inflight_) once mu_ is ours.
+    const auto lock = adaptive_lock(mu_);
+  }
+  await_covered(ts, policy_.load(std::memory_order_acquire));
+}
+
+void LamportClock::await_covered(Timestamp ts, WaitPolicy* policy) {
   if (policy == nullptr) {
+    // Once covered, `ts` stays covered: every later begin_commit draws a
+    // larger timestamp, and a re-stamp only moves an entry upward.
+    if (spin_until(
+            [&] { return min_inflight_.load(std::memory_order_acquire) > ts; },
+            kWaitSpin)) {
+      return;
+    }
+    auto lock = adaptive_lock(mu_);
+    if (covered_locked(ts)) return;
+    cover_parks_.fetch_add(1, std::memory_order_relaxed);
     cv_.wait(lock, [&] { return covered_locked(ts); });
     return;
   }
+  std::unique_lock lock(mu_);
   while (!covered_locked(ts)) {
     policy->wait_round(LaneHint{WaitPoint::kClockCovered}, &cv_, lock, cv_,
                        std::chrono::microseconds(1000));

@@ -28,10 +28,22 @@
 //     timestamp. (We draw a fresh timestamp rather than reusing the
 //     watermark value itself because the model requires timestamps to be
 //     unique across activities; see TimestampRules in hist/wellformed.)
+//
+// The turn and coverage waits are the pipeline's hand-offs between
+// committers, and most last a few microseconds. So the clock publishes
+// the smallest in-flight timestamp in an atomic on its own cache line,
+// rewritten under mu_ whenever the table changes, and a waiter first
+// spins on that atomic for about kWaitSpin before parking on cv_ (see
+// DESIGN.md "Commit pipeline"). Under a WaitPolicy nothing spins: every
+// wait goes through the policy, so deterministic schedules replay
+// unchanged.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
 
@@ -123,7 +135,9 @@ class LamportClock {
   Timestamp read_only_begin();
 
   /// Waits until every in-flight commit with timestamp below `ts` has
-  /// retired (used when the caller supplies its own start timestamp).
+  /// retired (used when the caller supplies its own start timestamp). Call
+  /// after observe(ts), so that no later commit draws a timestamp below
+  /// `ts`.
   void wait_covered(Timestamp ts);
 
   /// Largest timestamp W such that every commit <= W has fully applied.
@@ -134,6 +148,22 @@ class LamportClock {
   /// In-flight commit count (metrics).
   [[nodiscard]] std::size_t inflight() const;
 
+  /// Turn waits (wait_for_turn) and coverage waits (read_only_begin,
+  /// wait_covered) that spun out and parked on the condition variable
+  /// (metrics). Waits that finish while spinning, and waits routed
+  /// through a WaitPolicy, are not counted.
+  [[nodiscard]] std::uint64_t turn_parks() const {
+    return turn_parks_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t cover_parks() const {
+    return cover_parks_.load(std::memory_order_relaxed);
+  }
+
+  /// How long a turn or coverage wait spins before it parks: about one
+  /// futex sleep/wake round trip. Much longer spins burn CPU where
+  /// commits wait hundreds of microseconds behind 2PC-prepared entries.
+  static constexpr std::chrono::nanoseconds kWaitSpin{5000};
+
   /// Routes this clock's blocking waits through `policy` (nullptr resets
   /// to plain condition-variable waits). Set before concurrent use.
   void set_wait_policy(WaitPolicy* policy) {
@@ -141,9 +171,27 @@ class LamportClock {
   }
 
  private:
+  // min_inflight_ when no commit is in flight.
+  static constexpr Timestamp kNoneInflight =
+      std::numeric_limits<Timestamp>::max();
+
   [[nodiscard]] bool covered_locked(Timestamp ts) const {
     return inflight_.empty() || *inflight_.begin() > ts;
   }
+
+  /// Republishes min_inflight_ after a change to inflight_. Call with mu_
+  /// held. The release store pairs with the acquire loads of the
+  /// spinning waiters, so a waiter that sees its turn (or its coverage)
+  /// also sees every apply its predecessors made before retiring.
+  void publish_min_locked() {
+    min_inflight_.store(
+        inflight_.empty() ? kNoneInflight : *inflight_.begin(),
+        std::memory_order_release);
+  }
+
+  /// Waits until every in-flight commit below `ts` has retired: spins on
+  /// min_inflight_, then parks (or routes through the policy).
+  void await_covered(Timestamp ts, WaitPolicy* policy);
 
   std::atomic<Timestamp> counter_{0};
   std::atomic<std::uint64_t> offset_{0};
@@ -155,6 +203,14 @@ class LamportClock {
   std::condition_variable cv_;     // signalled on finish_commit
   std::set<Timestamp> inflight_;   // allocated, not yet retired commit ts
   Timestamp last_commit_{0};       // largest commit ts ever allocated
+
+  std::atomic<std::uint64_t> turn_parks_{0};
+  std::atomic<std::uint64_t> cover_parks_{0};
+
+  // *inflight_.begin(), or kNoneInflight: written only under mu_, read
+  // lock-free by spinning waiters. Its own cache line, so spinners do
+  // not slow the committers that take mu_ or bump counter_.
+  alignas(64) std::atomic<Timestamp> min_inflight_{kNoneInflight};
 };
 
 }  // namespace argus

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/adaptive_lock.h"
 #include "common/scope_guard.h"
 #include "dsched/wait_policy.h"
 #include "fault/fault.h"
@@ -40,7 +41,7 @@ std::shared_ptr<Transaction> TransactionManager::begin(TxnKind kind) {
   const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
   auto t = std::make_shared<Transaction>(id, kind, ts);
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     active_[id] = t;
     ++stats_.begun;
   }
@@ -59,7 +60,7 @@ std::shared_ptr<Transaction> TransactionManager::begin_with_timestamp(
   const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
   auto t = std::make_shared<Transaction>(id, kind, start_ts);
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     active_[id] = t;
     ++stats_.begun;
   }
@@ -80,7 +81,7 @@ std::shared_ptr<Transaction> TransactionManager::begin_as(
   }
   auto t = std::make_shared<Transaction>(id, kind, ts);
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     auto [it, inserted] = active_.emplace(id, t);
     if (!inserted) {
       if (it->second.lock() != nullptr) {
@@ -188,7 +189,7 @@ void TransactionManager::detach_prepared(
   if (t->state() == TxnState::kActive) {
     t->set_state(TxnState::kAborted);
     detector_.remove(t->id());
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     active_.erase(t->id());
   }
 }
@@ -415,7 +416,7 @@ void TransactionManager::finish_commit_bookkeeping(
     const std::vector<ManagedObject*>& objects) {
   detector_.remove(t->id());
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     active_.erase(t->id());
     ++stats_.committed;
   }
@@ -436,7 +437,7 @@ void TransactionManager::finish_abort(const std::shared_ptr<Transaction>& t,
   t->set_state(TxnState::kAborted);
   detector_.remove(t->id());
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     active_.erase(t->id());
     ++stats_.aborted;
     ++stats_.aborted_by_reason[reason];
@@ -445,7 +446,7 @@ void TransactionManager::finish_abort(const std::shared_ptr<Transaction>& t,
 }
 
 TxnStats TransactionManager::stats() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return stats_;
 }
 
@@ -471,12 +472,12 @@ void TransactionManager::doom_all_active(AbortReason reason) {
     // Seed semantics: serialize against in-flight commits, so each
     // transaction either committed fully or is doomed.
     const std::scoped_lock commit_lock(commit_mu_);
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     for (auto& [id, weak] : active_) {
       if (auto t = weak.lock()) doomed.push_back(std::move(t));
     }
   } else {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     for (auto& [id, weak] : active_) {
       if (auto t = weak.lock()) doomed.push_back(std::move(t));
     }
@@ -493,7 +494,7 @@ void TransactionManager::doom_all_active(AbortReason reason) {
 
 std::vector<std::shared_ptr<Transaction>>
 TransactionManager::active_transactions() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   std::vector<std::shared_ptr<Transaction>> out;
   for (const auto& [id, weak] : active_) {
     if (auto t = weak.lock()) out.push_back(std::move(t));

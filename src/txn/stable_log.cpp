@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/adaptive_lock.h"
 #include "dsched/wait_policy.h"
 #include "fault/fault.h"
 
@@ -39,11 +40,11 @@ void StableLog::append(CommitLogRecord record) {
   // simulated force latency the group-commit leader pays per batch.
   std::chrono::microseconds delay;
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     delay = force_delay_;
   }
   sleep_for_us(policy_.load(std::memory_order_acquire), delay.count());
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   insert_forced_locked(std::move(record));
   ++stats_.forces;
   ++stats_.records_forced;
@@ -54,7 +55,7 @@ AppendResult StableLog::append_group(CommitLogRecord record) {
   auto slot = std::make_shared<Slot>();
   slot->record = std::move(record);
 
-  std::unique_lock lock(mu_);
+  auto lock = adaptive_lock(mu_);
   queue_.push_back(slot);
   WaitPolicy* policy = policy_.load(std::memory_order_acquire);
 
@@ -179,7 +180,7 @@ AppendResult StableLog::force_prepared(CommitLogRecord record) {
   FaultInjector* fault = fault_.load(std::memory_order_acquire);
   std::chrono::microseconds base_delay;
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     base_delay = force_delay_;
   }
   std::uint32_t attempts = 0;
@@ -191,7 +192,7 @@ AppendResult StableLog::force_prepared(CommitLogRecord record) {
     sleep_for_us(policy, delay.count());
     if (decision.fail) {
       {
-        const std::scoped_lock lock(mu_);
+        const auto lock = adaptive_lock(mu_);
         ++stats_.force_failures;
       }
       if (attempts >= decision.max_retries) return AppendResult::kIoError;
@@ -203,7 +204,7 @@ AppendResult StableLog::force_prepared(CommitLogRecord record) {
     }
     break;
   }
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   ++stats_.forces;
   ++stats_.prepared_forces;
   prepared_.push_back(std::move(record));
@@ -211,7 +212,7 @@ AppendResult StableLog::force_prepared(CommitLogRecord record) {
 }
 
 bool StableLog::promote_prepared(ActivityId txn, Timestamp commit_ts) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   for (auto it = prepared_.begin(); it != prepared_.end(); ++it) {
     if (it->txn == txn) {
       CommitLogRecord record = std::move(*it);
@@ -227,7 +228,7 @@ bool StableLog::promote_prepared(ActivityId txn, Timestamp commit_ts) {
 }
 
 bool StableLog::drop_prepared(ActivityId txn) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   for (auto it = prepared_.begin(); it != prepared_.end(); ++it) {
     if (it->txn == txn) {
       prepared_.erase(it);
@@ -239,12 +240,12 @@ bool StableLog::drop_prepared(ActivityId txn) {
 }
 
 std::vector<CommitLogRecord> StableLog::prepared_records() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return prepared_;
 }
 
 void StableLog::adopt_record(CommitLogRecord record) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   insert_forced_locked(std::move(record));
   ++stats_.records_forced;
   ++stats_.records_adopted;
@@ -252,7 +253,7 @@ void StableLog::adopt_record(CommitLogRecord record) {
 
 void StableLog::drop_pending() {
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     ++generation_;
     for (auto& slot : queue_) slot->state = SlotState::kDropped;
     queue_.clear();
@@ -264,18 +265,18 @@ void StableLog::drop_pending() {
 }
 
 void StableLog::set_force_delay(std::chrono::microseconds delay) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   force_delay_ = delay;
 }
 
 void StableLog::hold_flushes() {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   hold_flushes_ = true;
 }
 
 void StableLog::release_flushes() {
   {
-    const std::scoped_lock lock(mu_);
+    const auto lock = adaptive_lock(mu_);
     hold_flushes_ = false;
   }
   cv_.notify_all();
@@ -285,17 +286,17 @@ void StableLog::release_flushes() {
 }
 
 StableLog::GroupStats StableLog::group_stats() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return stats_;
 }
 
 std::vector<CommitLogRecord> StableLog::records() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return records_;
 }
 
 std::optional<Timestamp> StableLog::committed_ts(ActivityId txn) const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   for (const CommitLogRecord& r : records_) {
     if (r.txn == txn) return r.commit_ts;
   }
@@ -303,7 +304,7 @@ std::optional<Timestamp> StableLog::committed_ts(ActivityId txn) const {
 }
 
 bool StableLog::remove_record(ActivityId txn) {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   for (auto it = records_.begin(); it != records_.end(); ++it) {
     if (it->txn == txn) {
       records_.erase(it);
@@ -314,12 +315,12 @@ bool StableLog::remove_record(ActivityId txn) {
 }
 
 std::size_t StableLog::size() const {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   return records_.size();
 }
 
 void StableLog::clear() {
-  const std::scoped_lock lock(mu_);
+  const auto lock = adaptive_lock(mu_);
   records_.clear();
   prepared_.clear();
 }

@@ -18,7 +18,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "check/atomicity.h"
 #include "hist/wellformed.h"
@@ -265,6 +268,68 @@ TEST(MvccObject, UpdatesStillValidateLikeOcc) {
   rt.commit(a);
   EXPECT_THROW(rt.commit(b), TransactionAborted);
   EXPECT_EQ(x->committed_state(), 20);
+}
+
+TEST(MvccObject, SnapshotReadersLeaveNoBookkeeping) {
+  Runtime rt(/*record_history=*/false);
+  rt.set_cc_mode(CCMode::kMvcc);
+  auto x = rt.create_mvcc<BankAccountAdt>("x");
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 50 == 0) {
+      auto writer = rt.begin();
+      x->invoke(*writer, account::deposit(1));
+      rt.commit(writer);
+    }
+    auto reader = rt.begin_read_only();
+    x->invoke(*reader, account::balance());
+    EXPECT_EQ(x->initiated_count(), 1U);
+    if (i % 10 == 0) {
+      rt.abort(reader);
+    } else {
+      rt.commit(reader);
+    }
+  }
+  EXPECT_EQ(x->initiated_count(), 0U);
+}
+
+TEST(MvccObject, SnapshotsSurviveRepeatedRecovery) {
+  Runtime rt(/*record_history=*/false);
+  rt.set_cc_mode(CCMode::kMvcc);
+  std::vector<std::shared_ptr<OccAtomicObject<BankAccountAdt>>> accounts;
+  for (int i = 0; i < 3; ++i) {
+    accounts.push_back(
+        rt.create_mvcc<BankAccountAdt>("m" + std::to_string(i)));
+  }
+  auto total = [&] {
+    auto audit = rt.begin_read_only();
+    std::int64_t sum = 0;
+    for (const auto& a : accounts) {
+      sum += a->invoke(*audit, account::balance()).as_int();
+    }
+    rt.commit(audit);
+    return sum;
+  };
+  auto deposits = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto t = rt.begin();
+      accounts[static_cast<std::size_t>(i % 3)]->invoke(
+          *t, account::deposit(1 + i % 4));
+      rt.commit(t);
+      if (i % 20 == 0) total();  // moves the snapshot cursors mid-log
+    }
+  };
+  deposits(200);
+  const std::int64_t before = total();
+  EXPECT_GT(before, 0);
+  rt.crash();
+  rt.recover();
+  EXPECT_EQ(total(), before);
+
+  deposits(100);
+  const std::int64_t again = total();
+  rt.crash();
+  rt.recover();
+  EXPECT_EQ(total(), again);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@
 // from the log alone and compared against what each scanner saw live.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,6 +267,170 @@ TEST(CommitPipeline, SingleMutexModeMatchesPipelinedSemantics) {
     EXPECT_EQ(account->committed_state(),
               static_cast<std::int64_t>(2 * committed));
   }
+}
+
+// ---------------------------------------------------------------------------
+// LamportClock hand-offs under stress: the turn and coverage waits spin
+// on a published minimum before they park, so these drive them directly,
+// with short random delays that land some waits in the spin and some in
+// the park.
+
+/// Applies of the stress committers, in the order they ran.
+struct ApplyLog {
+  std::mutex mu;
+  std::vector<Timestamp> applied;  // guarded by mu
+};
+
+/// What one read-only begin saw on return: its timestamp and how many
+/// applies had run.
+struct ReaderSight {
+  Timestamp ts;
+  std::size_t applied;
+};
+
+void sleep_briefly(SplitMix64& rng) {
+  const std::uint64_t roll = rng.below(4);
+  if (roll == 0) return;
+  if (roll == 1) {
+    std::this_thread::yield();
+    return;
+  }
+  std::this_thread::sleep_for(std::chrono::microseconds(rng.below(30)));
+}
+
+/// Runs 4 committers and 2 readers against one clock. A committer
+/// begins, sleeps a random short time, optionally re-stamps its entry
+/// upward (the 2PC decision) or gives up without applying, waits for its
+/// turn, applies and finishes. A reader takes a read-only start
+/// timestamp, alternately drawn by read_only_begin and supplied by the
+/// caller (observe + wait_covered, as begin_with_timestamp does), and
+/// records how many applies had run when its wait returned.
+void stress_clock(bool with_restamp, std::uint64_t seed) {
+  LamportClock clock;
+  ApplyLog log;
+  constexpr int kCommitters = 4;
+  constexpr int kCommitsEach = 400;
+  constexpr int kReaders = 2;
+  std::atomic<int> committers_left{kCommitters};
+  std::mutex sights_mu;
+  std::vector<ReaderSight> sights;
+
+  auto committer = [&](int index) {
+    SplitMix64 rng(seed * 131 + static_cast<std::uint64_t>(index));
+    for (int i = 0; i < kCommitsEach; ++i) {
+      Timestamp ts = clock.begin_commit();
+      sleep_briefly(rng);
+      if (with_restamp && rng.below(4) == 0) {
+        const Timestamp to = clock.next();
+        clock.restamp_commit(ts, to);
+        ts = to;
+        sleep_briefly(rng);
+      }
+      if (rng.below(10) == 0) {  // aborted: retires without applying
+        clock.finish_commit(ts);
+        continue;
+      }
+      clock.wait_for_turn(ts);
+      {
+        const std::scoped_lock lock(log.mu);
+        log.applied.push_back(ts);
+      }
+      clock.finish_commit(ts);
+    }
+    committers_left.fetch_sub(1);
+  };
+  auto reader = [&](int index) {
+    SplitMix64 rng(seed * 977 + static_cast<std::uint64_t>(index));
+    std::vector<ReaderSight> mine;
+    bool supplied = index % 2 == 1;
+    do {
+      Timestamp ts;
+      if (supplied) {
+        ts = clock.now() + 1 + rng.below(3);
+        clock.observe(ts);
+        clock.wait_covered(ts);
+      } else {
+        ts = clock.read_only_begin();
+      }
+      supplied = !supplied;
+      std::size_t applied = 0;
+      {
+        const std::scoped_lock lock(log.mu);
+        applied = log.applied.size();
+      }
+      mine.push_back({ts, applied});
+      sleep_briefly(rng);
+    } while (committers_left.load() > 0);
+    const std::scoped_lock lock(sights_mu);
+    sights.insert(sights.end(), mine.begin(), mine.end());
+  };
+
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kCommitters; ++i) threads.emplace_back(committer, i);
+  for (int i = 0; i < kReaders; ++i) threads.emplace_back(reader, i);
+  for (auto& t : threads) t.join();
+
+  // Applies ran in strictly ascending timestamp order.
+  const std::vector<Timestamp>& applied = log.applied;
+  ASSERT_GT(applied.size(), 0U);
+  for (std::size_t i = 1; i < applied.size(); ++i) {
+    ASSERT_LT(applied[i - 1], applied[i]) << "apply " << i;
+  }
+  // Every commit below a reader's timestamp had applied when its begin
+  // returned. Applies ascend, so those commits are the first
+  // count-below entries of the apply order.
+  ASSERT_GT(sights.size(), 0U);
+  for (const ReaderSight& sight : sights) {
+    const auto below = static_cast<std::size_t>(
+        std::lower_bound(applied.begin(), applied.end(), sight.ts) -
+        applied.begin());
+    EXPECT_LE(below, sight.applied)
+        << "reader at " << sight.ts << " saw " << sight.applied
+        << " applies, " << below << " commits lie below it";
+  }
+  EXPECT_EQ(clock.inflight(), 0U);
+  EXPECT_GE(clock.watermark(), applied.back());
+}
+
+TEST(ClockStress, TurnsApplyInOrderAndReadersSeeEveryEarlierCommit) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) stress_clock(false, seed);
+}
+
+TEST(ClockStress, RestampedCommitsKeepTheOrderAndTheCoverage) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) stress_clock(true, seed);
+}
+
+TEST(ClockStress, OnlyWaitsThatParkAreCounted) {
+  LamportClock clock;
+  const Timestamp first = clock.begin_commit();
+  const Timestamp second = clock.begin_commit();
+
+  // A turn that is already due returns without parking.
+  clock.wait_for_turn(first);
+  EXPECT_EQ(clock.turn_parks(), 0U);
+
+  // A turn held up far longer than the spin parks once.
+  std::thread turn([&] { clock.wait_for_turn(second); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  clock.finish_commit(first);
+  turn.join();
+  EXPECT_EQ(clock.turn_parks(), 1U);
+
+  // Same for coverage: blocked behind `second`, then free.
+  std::thread cover([&] { clock.read_only_begin(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  clock.finish_commit(second);
+  cover.join();
+  EXPECT_EQ(clock.cover_parks(), 1U);
+  clock.read_only_begin();
+  clock.wait_covered(second);
+  EXPECT_EQ(clock.cover_parks(), 1U);
+  EXPECT_EQ(clock.turn_parks(), 1U);
+
+  Runtime rt(/*record_history=*/false);
+  const std::string text = rt.metrics().prometheus_text();
+  EXPECT_NE(text.find("argus_clock_turn_parks_total 0"), std::string::npos);
+  EXPECT_NE(text.find("argus_clock_cover_parks_total 0"), std::string::npos);
 }
 
 }  // namespace

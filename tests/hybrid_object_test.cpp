@@ -3,9 +3,15 @@
 // read-only snapshots (§4.3), and the commit-order queue.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "check/atomicity.h"
 #include "core/runtime.h"
 #include "hist/wellformed.h"
+#include "spec/adts/bag.h"
 #include "spec/adts/bank_account.h"
 #include "spec/adts/fifo_queue.h"
 #include "spec/adts/int_set.h"
@@ -302,6 +308,96 @@ TEST(HybridQueue, HistoryHybridAtomic) {
   EXPECT_TRUE(wf.ok()) << wf.summary();
   const auto verdict = check_hybrid_atomic(rt.system(), h);
   EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
+// ---------------------------------------------------------------------------
+// Read-only bookkeeping and recovery of the snapshot log
+
+TEST(HybridObject, ReadOnlyBookkeepingDrainsAfterAudits) {
+  Runtime rt(/*record_history=*/false);
+  auto acct = rt.create_hybrid<BankAccountAdt>("a");
+  auto q = rt.create_hybrid_queue("q");
+  auto b = rt.create_hybrid_bag("b");
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 50 == 0) {
+      auto t = rt.begin();
+      acct->invoke(*t, account::deposit(1));
+      q->invoke(*t, fifo::enqueue(i));
+      b->invoke(*t, bag::insert(i));
+      rt.commit(t);
+    }
+    auto audit = rt.begin_read_only();
+    acct->invoke(*audit, account::balance());
+    q->invoke(*audit, fifo::size());
+    b->invoke(*audit, bag::size());
+    EXPECT_EQ(acct->initiated_count(), 1U);
+    if (i % 10 == 0) {
+      rt.abort(audit);
+    } else {
+      rt.commit(audit);
+    }
+  }
+  EXPECT_EQ(acct->initiated_count(), 0U);
+  EXPECT_EQ(q->initiated_count(), 0U);
+  EXPECT_EQ(b->initiated_count(), 0U);
+}
+
+// Balances of every account as one read-only snapshot.
+std::vector<std::int64_t> audit_balances(
+    Runtime& rt,
+    const std::vector<std::shared_ptr<HybridAtomicObject<BankAccountAdt>>>&
+        accounts) {
+  auto audit = rt.begin_read_only();
+  std::vector<std::int64_t> out;
+  for (const auto& a : accounts) {
+    out.push_back(a->invoke(*audit, account::balance()).as_int());
+  }
+  rt.commit(audit);
+  return out;
+}
+
+TEST(HybridObject, SnapshotsSurviveRepeatedRecovery) {
+  Runtime rt(/*record_history=*/false);
+  std::vector<std::shared_ptr<HybridAtomicObject<BankAccountAdt>>> accounts;
+  for (int i = 0; i < 4; ++i) {
+    accounts.push_back(
+        rt.create_hybrid<BankAccountAdt>("a" + std::to_string(i)));
+  }
+  auto transfers = [&](int count, int salt) {
+    for (int i = 0; i < count; ++i) {
+      const auto from = static_cast<std::size_t>((i * 7 + salt) % 4);
+      const auto to = (from + 1 + static_cast<std::size_t>(i % 3)) % 4;
+      auto t = rt.begin();
+      accounts[from]->invoke(*t, account::withdraw(1 + i % 5));
+      accounts[to]->invoke(*t, account::deposit(1 + i % 5));
+      rt.commit(t);
+      // Audits along the way leave cursors and checkpoints mid-log.
+      if (i % 25 == 0) audit_balances(rt, accounts);
+    }
+  };
+  {
+    auto setup = rt.begin();
+    for (const auto& a : accounts) a->invoke(*setup, account::deposit(1000));
+    rt.commit(setup);
+  }
+  transfers(300, 0);
+  const auto before = audit_balances(rt, accounts);
+  EXPECT_EQ(std::accumulate(before.begin(), before.end(), std::int64_t{0}),
+            4000);
+
+  rt.crash();
+  rt.recover();
+  EXPECT_EQ(audit_balances(rt, accounts), before);
+
+  // Recover again, with more history on top. (snapshot_log_test checks
+  // that the reset drops the cursor and checkpoints with the log.)
+  transfers(150, 1);
+  const auto again = audit_balances(rt, accounts);
+  rt.crash();
+  rt.recover();
+  EXPECT_EQ(audit_balances(rt, accounts), again);
+  EXPECT_EQ(std::accumulate(again.begin(), again.end(), std::int64_t{0}),
+            4000);
 }
 
 }  // namespace

@@ -216,5 +216,21 @@ TEST(StaticObject, InitiateRecordedOncePerObject) {
   EXPECT_EQ(initiates, 1);
 }
 
+TEST(StaticObject, InitiatedDrainsAtCommitAndAbort) {
+  Runtime rt(/*record_history=*/false);
+  auto acct = rt.create_static<BankAccountAdt>("a");
+  for (int i = 0; i < 1000; ++i) {
+    auto t = (i % 2 == 0) ? rt.begin_read_only() : rt.begin();
+    acct->invoke(*t, (i % 2 == 0) ? account::balance() : account::deposit(1));
+    EXPECT_EQ(acct->initiated_count(), 1U);
+    if (i % 10 == 1) {
+      rt.abort(t);
+    } else {
+      rt.commit(t);
+    }
+  }
+  EXPECT_EQ(acct->initiated_count(), 0U);
+}
+
 }  // namespace
 }  // namespace argus
