@@ -33,8 +33,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "check/atomicity.h"
-#include "hist/wellformed.h"
+#include "sim/certifier.h"
 #include "sim/scenarios.h"
 
 namespace argus {
@@ -71,23 +70,9 @@ void run_certify(benchmark::State& state, CCMode mode) {
     rt.stop_sentinel();
 
     const History h = rt.history();
-    bool cert_ok = false;
-    switch (mode) {
-      case CCMode::kDynamic:
-        cert_ok = check_well_formed(h).ok() &&
-                  check_dynamic_atomic(rt.system(), h).ok;
-        break;
-      case CCMode::kStatic:
-        cert_ok = check_well_formed_static(h).ok() &&
-                  check_static_atomic(rt.system(), h).ok;
-        break;
-      case CCMode::kHybrid:
-      case CCMode::kOcc:
-      case CCMode::kMvcc:
-        cert_ok = check_well_formed_hybrid(h, {}).ok() &&
-                  check_hybrid_atomic(rt.system(), h).ok;
-        break;
-    }
+    Certifier cert;
+    cert.check_history(to_protocol(mode), rt.system(), h, {});
+    const bool cert_ok = cert.ok();
     const bool conserved =
         bank.total_balance(rt, mode_supports_snapshot_reads(mode)) ==
         3 * kInitialBalance;

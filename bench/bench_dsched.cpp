@@ -75,7 +75,7 @@ void BM_Dsched_OsBaseline(benchmark::State& state) {
   }
 }
 
-/// Deterministic-mode cost per explored case: one full run_sched_case —
+/// Deterministic-mode cost per explored case: one full run_case —
 /// runtime build, scheduled lanes, crash/recover, certification — per
 /// iteration. `state.range(0)` picks the schedule source.
 void run_case_bench(benchmark::State& state, ScheduleKind kind) {
@@ -91,8 +91,8 @@ void run_case_bench(benchmark::State& state, ScheduleKind kind) {
   std::uint64_t steps = 0;
   std::uint64_t certified = 0;
   for (auto _ : state) {
-    c.seed = seed++;
-    const SchedCaseResult result = run_sched_case(c);
+    c.plan.seed = seed++;
+    const SchedCaseResult result = run_case(c);
     steps += result.steps;
     certified += result.ok ? 1 : 0;
     benchmark::DoNotOptimize(result.trace.data());
@@ -130,7 +130,7 @@ void BM_Dsched_DfsExhaust(benchmark::State& state) {
   base.lanes = 2;
   base.txns_per_lane = 1;
   base.initial_balance = 3;
-  base.seed = 3;
+  base.plan.seed = 3;
   std::uint64_t runs = 0;
   std::uint64_t pruned = 0;
   for (auto _ : state) {

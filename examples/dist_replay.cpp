@@ -8,56 +8,33 @@
 //
 // Exit status 0 iff every probe and checker passed — a failing seed's
 // config file is a self-contained, deterministic bug report.
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <string>
-
+#include "replay_main.h"
 #include "sim/dist_sweep.h"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: " << argv[0] << " <config-file> [--trace]\n";
-    return 2;
-  }
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::cerr << "cannot open " << argv[1] << "\n";
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-
-  argus::DistSweepCase config;
-  std::string error;
-  if (!argus::parse_dist_case(text.str(), &config, &error)) {
-    std::cerr << argv[1] << ": " << error << "\n";
-    return 2;
-  }
-
-  const argus::DistCaseResult result = argus::run_dist_case(config);
-  std::cout << "protocol:          " << to_string(config.protocol) << "\n"
-            << "sites:             " << config.sites << "\n"
-            << "seed:              " << config.plan.seed << "\n"
-            << "faults injected:   " << result.faults_injected << "\n"
-            << "site fails:        " << result.site_fails << " ("
-            << result.site_recovers << " recoveries)\n"
-            << "committed:         " << result.committed << " ("
-            << result.two_pc_commits << " two-phase)\n"
-            << "aborted:           " << result.aborted << "\n"
-            << "promoted commits:  " << result.promoted_commits << "\n"
-            << "presumed aborts:   " << result.presumed_aborts << "\n"
-            << "catch-up txns:     " << result.catchup_txns << "\n"
-            << "coord crashes:     " << result.coord_crashes << " ("
-            << result.coord_recovers << " recoveries)\n"
-            << "decisions logged:  " << result.decisions_logged << "\n"
-            << "messages lost:     " << result.msgs_lost << "\n"
-            << "termination promos: " << result.termination_promotions << "\n"
-            << "verdict:           " << (result.ok ? "CERTIFIED" : "FAILED")
-            << "\n";
-  if (!result.ok) std::cout << result.failure << "\n";
-  if (argc > 2 && std::string(argv[2]) == "--trace") {
-    std::cout << "\n" << result.trace;
-  }
-  return result.ok ? 0 : 1;
+  return replay_main<argus::DistSweepCase>(
+      argc, argv,
+      [](const argus::DistSweepCase& config,
+         const argus::DistCaseResult& result) {
+        std::cout << "protocol:        " << to_string(config.protocol) << "\n"
+                  << "sites:           " << config.sites << "\n"
+                  << "seed:            " << config.plan.seed << "\n"
+                  << "faults injected: " << result.faults_injected << "\n"
+                  << "site fails:      " << result.stats.site_fails << " ("
+                  << result.stats.site_recovers << " recoveries)\n"
+                  << "committed:       " << result.committed << " ("
+                  << result.stats.two_pc_commits << " two-phase)\n"
+                  << "aborted:         " << result.aborted << "\n"
+                  << "promoted:        " << result.stats.promoted_commits << "\n"
+                  << "presumed aborts: " << result.stats.presumed_aborts << "\n"
+                  << "catch-up txns:   " << result.stats.catchup_txns << "\n"
+                  << "coord crashes:   " << result.stats.coord_crashes << " ("
+                  << result.stats.coord_recovers << " recoveries)\n"
+                  << "decisions:       " << result.stats.decisions_logged << "\n"
+                  << "messages lost:   " << result.stats.msgs_lost << "\n"
+                  << "termination:     "
+                  << result.stats.termination_promoted +
+                         result.stats.termination_peer_promotions
+                  << " promotions\n";
+      });
 }

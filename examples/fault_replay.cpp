@@ -9,49 +9,23 @@
 //
 // Exit status 0 iff every probe and checker passed — a failing seed's
 // config file is a self-contained, deterministic bug report.
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <string>
-
+#include "replay_main.h"
 #include "sim/fault_sweep.h"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: " << argv[0] << " <config-file> [--trace]\n";
-    return 2;
-  }
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::cerr << "cannot open " << argv[1] << "\n";
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-
-  argus::FaultSweepCase config;
-  std::string error;
-  if (!argus::parse_fault_case(text.str(), &config, &error)) {
-    std::cerr << argv[1] << ": " << error << "\n";
-    return 2;
-  }
-
-  const argus::FaultCaseResult result = argus::run_fault_case(config);
-  std::cout << "protocol:        " << to_string(config.protocol) << "\n"
-            << "seed:            " << config.plan.seed << "\n"
-            << "crash point:     " << to_string(config.plan.crash_point)
-            << " (arrival " << config.plan.crash_at_arrival << ")\n"
-            << "crashed mid-run: " << (result.crashed_mid_run ? "yes" : "no")
-            << "\n"
-            << "faults injected: " << result.faults_injected << "\n"
-            << "committed:       " << result.committed << "\n"
-            << "aborted:         " << result.aborted << "\n"
-            << "log records:     " << result.log_records << "\n"
-            << "verdict:         " << (result.ok ? "CERTIFIED" : "FAILED")
-            << "\n";
-  if (!result.ok) std::cout << result.failure << "\n";
-  if (argc > 2 && std::string(argv[2]) == "--trace") {
-    std::cout << "\n" << result.trace;
-  }
-  return result.ok ? 0 : 1;
+  return replay_main<argus::FaultSweepCase>(
+      argc, argv,
+      [](const argus::FaultSweepCase& config,
+         const argus::FaultCaseResult& result) {
+        std::cout << "protocol:        " << to_string(config.protocol) << "\n"
+                  << "seed:            " << config.plan.seed << "\n"
+                  << "crash point:     " << to_string(config.plan.crash_point)
+                  << " (arrival " << config.plan.crash_at_arrival << ")\n"
+                  << "crashed mid-run: "
+                  << (result.crashed_mid_run ? "yes" : "no") << "\n"
+                  << "faults injected: " << result.faults_injected << "\n"
+                  << "committed:       " << result.committed << "\n"
+                  << "aborted:         " << result.aborted << "\n"
+                  << "log records:     " << result.log_records << "\n";
+      });
 }

@@ -24,6 +24,14 @@ std::string to_string(Protocol p) {
   return "?";
 }
 
+std::optional<Protocol> protocol_from_string(const std::string& name) {
+  for (int i = 0; i <= static_cast<int>(Protocol::kMvcc); ++i) {
+    const auto p = static_cast<Protocol>(i);
+    if (to_string(p) == name) return p;
+  }
+  return std::nullopt;
+}
+
 Protocol to_protocol(CCMode mode) {
   switch (mode) {
     case CCMode::kDynamic:

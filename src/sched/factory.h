@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/runtime.h"
@@ -25,6 +26,8 @@ enum class Protocol {
 };
 
 [[nodiscard]] std::string to_string(Protocol p);
+[[nodiscard]] std::optional<Protocol> protocol_from_string(
+    const std::string& name);
 
 /// The protocol a CCMode drives objects under (the executor's dispatch).
 [[nodiscard]] Protocol to_protocol(CCMode mode);

@@ -15,8 +15,7 @@
 #include <chrono>
 #include <thread>
 
-#include "check/atomicity.h"
-#include "hist/wellformed.h"
+#include "sim/certifier.h"
 #include "sim/scenarios.h"
 #include "spec/adts/bank_account.h"
 #include "test_util.h"
@@ -92,31 +91,11 @@ TEST_P(CCModeMatrix, RecordedRunCertifiesAgainstTheModeProperty) {
   rt.stop_sentinel();
 
   const History h = rt.history();
-  switch (mode) {
-    case CCMode::kDynamic: {
-      const auto wf = check_well_formed(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_dynamic_atomic(rt.system(), h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case CCMode::kStatic: {
-      const auto wf = check_well_formed_static(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_static_atomic(rt.system(), h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case CCMode::kHybrid:
-    case CCMode::kOcc:
-    case CCMode::kMvcc: {
-      const auto wf = check_well_formed_hybrid(h, {});
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_hybrid_atomic(rt.system(), h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-  }
+  Certifier cert;
+  const auto verdict =
+      cert.check_history(to_protocol(mode), rt.system(), h, {});
+  ASSERT_TRUE(verdict.well_formed) << cert.failure() << "\n" << h.to_string();
+  EXPECT_TRUE(verdict.atomic) << cert.failure() << "\n" << h.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, CCModeMatrix,

@@ -11,6 +11,7 @@
 #include "check/random_history.h"
 #include "hist/wellformed.h"
 #include "sched/factory.h"
+#include "sim/certifier.h"
 #include "sim/scenarios.h"
 #include "spec/adts/bank_account.h"
 #include "spec/adts/fifo_queue.h"
@@ -117,37 +118,14 @@ void check_protocol_property(Protocol protocol, const std::string& adt,
       run_property_workload<A>(protocol, adt, seed, with_faults);
   const History& h = run.history;
 
-  switch (protocol) {
-    case Protocol::kDynamic:
-    case Protocol::kTwoPhase:
-    case Protocol::kCommutativity: {
-      const auto wf = check_well_formed(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_dynamic_atomic(run.system, h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case Protocol::kStatic:
-    case Protocol::kTimestamp: {
-      const auto wf = check_well_formed_static(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_static_atomic(run.system, h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case Protocol::kHybrid:
-    case Protocol::kOcc:
-    case Protocol::kMvcc: {
-      // OCC/MVCC updates serialize at commit timestamps (validation runs
-      // at the pipeline turn) and MVCC reads at initiation snapshots —
-      // exactly the hybrid atomicity property.
-      const auto wf = check_well_formed_hybrid(h, run.read_only);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_hybrid_atomic(run.system, h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-  }
+  // OCC/MVCC updates serialize at commit timestamps (validation runs at
+  // the pipeline turn) and MVCC reads at initiation snapshots — exactly
+  // the hybrid atomicity property, which is what the certifier checks.
+  Certifier cert;
+  const auto verdict =
+      cert.check_history(protocol, run.system, h, run.read_only);
+  ASSERT_TRUE(verdict.well_formed) << cert.failure() << "\n" << h.to_string();
+  EXPECT_TRUE(verdict.atomic) << cert.failure() << "\n" << h.to_string();
 }
 
 class ProtocolProperty
