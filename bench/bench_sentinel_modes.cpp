@@ -111,6 +111,11 @@ void run_sentinel_mode(benchmark::State& state, SentinelConfig config) {
       extra["sentinel_suspicious"] =
           static_cast<double>(sentinel->suspicious());
       extra["sentinel_vc_ops"] = static_cast<double>(sentinel->vc_ops());
+      extra["sentinel_clean_seals"] =
+          static_cast<double>(sentinel->clean_seals());
+      extra["sentinel_reseals"] = static_cast<double>(sentinel->reseals());
+      extra["sentinel_stragglers"] =
+          static_cast<double>(sentinel->stragglers());
       rt.stop_sentinel();
     }
     if (config == SentinelConfig::kOff) {

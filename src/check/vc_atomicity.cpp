@@ -11,32 +11,18 @@ namespace argus {
 
 namespace {
 
-/// Deduplicates a candidate set by pairwise equality (same discipline as
-/// spec/serial.cpp: candidate sets stay tiny for our ADTs).
+/// Deduplicates a candidate set in place by pairwise equality (same
+/// discipline as spec/serial.cpp: candidate sets stay tiny for our ADTs).
 void dedupe(std::vector<std::unique_ptr<SpecState>>& states) {
-  std::vector<std::unique_ptr<SpecState>> unique;
-  for (auto& s : states) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
     bool dup = false;
-    for (const auto& u : unique) {
-      if (u->equals(*s)) {
-        dup = true;
-        break;
-      }
+    for (std::size_t j = 0; j < kept && !dup; ++j) {
+      dup = states[j]->equals(*states[i]);
     }
-    if (!dup) unique.push_back(std::move(s));
+    if (!dup) states[kept++] = std::move(states[i]);
   }
-  states = std::move(unique);
-}
-
-std::map<ObjectId, std::vector<std::unique_ptr<SpecState>>> clone_states(
-    const std::map<ObjectId, std::vector<std::unique_ptr<SpecState>>>& from) {
-  std::map<ObjectId, std::vector<std::unique_ptr<SpecState>>> out;
-  for (const auto& [x, set] : from) {
-    auto& dst = out[x];
-    dst.reserve(set.size());
-    for (const auto& s : set) dst.push_back(s->clone());
-  }
-  return out;
+  states.resize(kept);
 }
 
 constexpr std::uint64_t kMaxKey = std::numeric_limits<std::uint64_t>::max();
@@ -55,23 +41,148 @@ const char* to_string(VcVerdict v) {
   return "?";
 }
 
-VectorClockChecker::VectorClockChecker(const SystemSpec& system,
-                                       VcCheckerOptions options)
-    : system_(system), options_(options), conflicts_(system_) {}
-
-void VectorClockChecker::feed(std::vector<SequencedEvent> batch) {
-  for (SequencedEvent& se : batch) feed(std::move(se));
+SerialFold::StateMap SerialFold::clone(const StateMap& states) {
+  StateMap out;
+  for (const auto& [x, set] : states) {
+    auto& dst = out[x];
+    dst.reserve(set.size());
+    for (const auto& s : set) dst.push_back(s->clone());
+  }
+  return out;
 }
 
-void VectorClockChecker::feed(SequencedEvent se) {
+bool SerialFold::fold(ActivityId id, std::uint64_t key,
+                      std::vector<const SequencedEvent*>& events,
+                      StateMap& states, std::string* why) {
+  const auto by_seq = [](const SequencedEvent* a, const SequencedEvent* b) {
+    return a->seq < b->seq;
+  };
+  if (!std::is_sorted(events.begin(), events.end(), by_seq)) {
+    std::sort(events.begin(), events.end(), by_seq);
+  }
+  objects_.clear();
+  for (const SequencedEvent* se : events) {
+    const ObjectId x = se->event.object;
+    if (std::find(objects_.begin(), objects_.end(), x) == objects_.end()) {
+      objects_.push_back(x);
+    }
+  }
+  // Two-phase: compute every object's successor set before mutating any,
+  // so a failed fold leaves the chain untouched.
+  next_.clear();
+  for (const ObjectId x : objects_) {
+    if (!system_.has(x)) continue;  // object created after the snapshot
+    auto slot = states.find(x);
+    if (slot == states.end()) {
+      StateSet initial;
+      initial.push_back(system_.spec_of(x).initial_state());
+      slot = states.emplace(x, std::move(initial)).first;
+    }
+    // h|a|x, replayed from every candidate at once. One activity has at
+    // most one pending invocation; its response's result prunes the
+    // successors.
+    const StateSet* from = &slot->second;
+    StateSet reached = take_set();
+    StateSet next = take_set();
+    const Operation* pending = nullptr;
+    bool ok = true;
+    for (const SequencedEvent* se : events) {
+      const Event& e = se->event;
+      if (e.object != x) continue;
+      if (e.kind == EventKind::kInvoke) {
+        pending = &e.operation;
+        continue;
+      }
+      if (e.kind != EventKind::kRespond) continue;
+      if (pending == nullptr) {  // a response with no pending invocation
+        ok = false;
+        break;
+      }
+      next.clear();
+      for (const auto& s : *from) {
+        for (auto& outcome : s->step(*pending)) {
+          if (outcome.result == e.result) {
+            next.push_back(std::move(outcome.state));
+          }
+        }
+      }
+      pending = nullptr;
+      dedupe(next);
+      if (next.empty()) {
+        ok = false;
+        break;
+      }
+      reached.swap(next);
+      from = &reached;
+    }
+    give_back(std::move(next));
+    if (!ok) {
+      give_back(std::move(reached));
+      for (auto& entry : next_) give_back(std::move(entry.second));
+      next_.clear();
+      if (why != nullptr) {
+        History at_x;
+        for (const SequencedEvent* se : events) {
+          if (se->event.object == x) at_x.append(se->event);
+        }
+        std::ostringstream out;
+        out << "activity " << argus::to_string(id) << " (key " << key
+            << ") has no acceptable replay at object " << argus::to_string(x)
+            << " (" << system_.spec_of(x).type_name() << "); h|a|x =\n"
+            << at_x.to_string();
+        *why = out.str();
+      }
+      return false;
+    }
+    if (from == &reached) {
+      next_.emplace_back(&slot->second, std::move(reached));
+    } else {
+      give_back(std::move(reached));
+    }
+  }
+  for (auto& [slot, reached] : next_) {
+    slot->swap(reached);
+    give_back(std::move(reached));  // the replaced set
+  }
+  next_.clear();
+  return true;
+}
+
+SerialFold::StateSet SerialFold::take_set() {
+  if (spare_.empty()) return {};
+  StateSet set = std::move(spare_.back());
+  spare_.pop_back();
+  return set;
+}
+
+void SerialFold::give_back(StateSet set) {
+  constexpr std::size_t kMaxSpare = 16;
+  set.clear();
+  if (spare_.size() < kMaxSpare) spare_.push_back(std::move(set));
+}
+
+VectorClockChecker::VectorClockChecker(const SystemSpec& system,
+                                       VcCheckerOptions options)
+    : system_(system),
+      options_(options),
+      conflicts_(system_),
+      fold_(system_) {}
+
+void VectorClockChecker::feed(
+    const std::vector<const SequencedEvent*>& batch) {
+  for (const SequencedEvent* se : batch) feed(se);
+}
+
+void VectorClockChecker::feed(const SequencedEvent* se) {
   ++stats_.events;
-  const ActivityId id = se.event.activity;
+  const Event& e = se->event;
+  const ActivityId id = e.activity;
   ActivityState& act = activities_[id];
   const bool terminated = act.committed || act.aborted;
-  switch (se.event.kind) {
+  switch (e.kind) {
     case EventKind::kInitiate:
       if (act.ts == kNoTimestamp) {
-        act.ts = se.event.timestamp;
+        act.ts = e.timestamp;
         if (!terminated) {
           open_initiations_.insert(act.ts);
           act.init_open = true;
@@ -81,15 +192,19 @@ void VectorClockChecker::feed(SequencedEvent se) {
     case EventKind::kCommit:
       if (!act.committed && !act.aborted) {
         act.committed = true;
-        act.first_commit_seq = se.seq;
-        if (se.event.has_timestamp() && act.ts == kNoTimestamp) {
-          act.ts = se.event.timestamp;  // hybrid update commit stamp
+        act.first_commit_seq = se->seq;
+        if (e.has_timestamp() && act.ts == kNoTimestamp) {
+          act.ts = e.timestamp;  // hybrid update commit stamp
         }
         if (act.init_open) {
           open_initiations_.erase(open_initiations_.find(act.ts));
           act.init_open = false;
         }
-        handle_commit(id, act);
+        if (options_.hold_back && act.key() >= frontier_seen_) {
+          held_.emplace_back(act.key(), id);  // folds once the frontier passes
+        } else {
+          handle_commit(id, act);
+        }
       }
       return;
     case EventKind::kAbort:
@@ -106,7 +221,9 @@ void VectorClockChecker::feed(SequencedEvent se) {
     case EventKind::kInvoke:
     case EventKind::kRespond:
       if (act.aborted || act.quarantined) return;
-      act.events.push_back(std::move(se));
+      // One allocation covers a typical activity's events.
+      if (act.events.empty()) act.events.reserve(8);
+      act.events.push_back(se);
       if (act.folded) {
         // The activity was folded from an incomplete buffer (a slow
         // recorder shard published late). The fold is stale; only an
@@ -126,32 +243,13 @@ void VectorClockChecker::feed(SequencedEvent se) {
 
 void VectorClockChecker::handle_commit(ActivityId id, ActivityState& act) {
   const std::uint64_t key = act.key();
+  const bool mis = conflicts_above(act, key);
   if (checkpoint_key_ != 0 && key <= checkpoint_key_) {
     // Straggler: committed below an already-sealed prefix. Its canonical
     // slot is gone, but if every one of its operations always-commutes
     // with everything folded above its key, folding it now is equivalent
     // to folding it in place.
-    bool commutes = true;
-    for (const SequencedEvent& se : act.events) {
-      if (se.event.kind != EventKind::kInvoke) continue;
-      const ObjectId x = se.event.object;
-      if (!system_.has(x)) continue;
-      for (const auto* clock : {&sealed_ops_, &window_ops_}) {
-        auto it = clock->find(x);
-        if (it == clock->end()) continue;
-        for (const auto& [op, op_key] : it->second) {
-          if (op_key <= key) continue;
-          ++stats_.vc_ops;
-          if (conflicts_.conflicts(x, se.event.operation, op)) {
-            commutes = false;
-            break;
-          }
-        }
-        if (!commutes) break;
-      }
-      if (!commutes) break;
-    }
-    if (!commutes) {
+    if (mis) {
       ++stats_.stragglers;
       act.quarantined = true;
       act.events.clear();
@@ -162,7 +260,6 @@ void VectorClockChecker::handle_commit(ActivityId id, ActivityState& act) {
     // Fall through: fold in observed order, exact by commutation.
   }
 
-  const bool mis = join_clocks(act, key, /*include_sealed=*/true);
   epoch_max_key_ = std::max(epoch_max_key_, key);
   if (mis) {
     std::ostringstream why;
@@ -190,7 +287,7 @@ void VectorClockChecker::handle_commit(ActivityId id, ActivityState& act) {
   const bool clean_context =
       !dirty_ && !epoch_quarantine_ && !open_below && deferred_.empty();
   std::string why;
-  if (replay_into(id, act, observed_, &why)) {
+  if (fold_.fold(id, act.key(), act.events, observed_, &why)) {
     act.folded = true;
     register_fold(act, key);
     if (clean_context) {
@@ -209,83 +306,43 @@ void VectorClockChecker::handle_commit(ActivityId id, ActivityState& act) {
   }
 }
 
-bool VectorClockChecker::join_clocks(ActivityState& act, std::uint64_t key,
-                                     bool include_sealed) {
-  bool mis = false;
-  for (const SequencedEvent& se : act.events) {
-    if (se.event.kind != EventKind::kInvoke) continue;
-    const ObjectId x = se.event.object;
+void VectorClockChecker::fold_held(std::uint64_t limit) {
+  const auto ready =
+      std::partition(held_.begin(), held_.end(),
+                     [limit](const auto& held) { return held.first >= limit; });
+  std::sort(ready, held_.end());
+  for (auto it = ready; it != held_.end(); ++it) {
+    handle_commit(it->second, activities_.at(it->second));
+  }
+  held_.erase(ready, held_.end());
+}
+
+bool VectorClockChecker::conflicts_above(const ActivityState& act,
+                                         std::uint64_t key) {
+  for (const SequencedEvent* se : act.events) {
+    if (se->event.kind != EventKind::kInvoke) continue;
+    const ObjectId x = se->event.object;
     if (!system_.has(x)) continue;
     for (const auto* clock : {&window_ops_, &sealed_ops_}) {
-      if (clock == &sealed_ops_ && !include_sealed) continue;
       auto it = clock->find(x);
       if (it == clock->end()) continue;
       for (const auto& [op, op_key] : it->second) {
         if (op_key <= key) continue;
         ++stats_.vc_ops;
-        if (conflicts_.conflicts(x, se.event.operation, op)) {
-          auto [slot, inserted] = act.clock.try_emplace(x, op_key);
-          if (!inserted) slot->second = std::max(slot->second, op_key);
-          mis = true;
-        }
+        if (conflicts_.conflicts(x, se->event.operation, op)) return true;
       }
     }
   }
-  return mis;
-}
-
-bool VectorClockChecker::replay_into(ActivityId id, ActivityState& act,
-                                     StateMap& states, std::string* why) {
-  std::sort(act.events.begin(), act.events.end(),
-            [](const SequencedEvent& a, const SequencedEvent& b) {
-              return a.seq < b.seq;
-            });
-  // h|a split per object, preserving order — the per-object view whose
-  // replay is exactly serializability-in-order's acceptance test.
-  std::map<ObjectId, History> per_object;
-  std::vector<ObjectId> object_order;
-  for (const SequencedEvent& se : act.events) {
-    auto [it, inserted] = per_object.try_emplace(se.event.object);
-    if (inserted) object_order.push_back(se.event.object);
-    it->second.append(se.event);
-  }
-  // Two-phase: compute every object's successor set before mutating any,
-  // so a failed fold leaves the chain untouched.
-  std::map<ObjectId, StateSet> next_sets;
-  for (ObjectId x : object_order) {
-    if (!system_.has(x)) continue;  // object created after the snapshot
-    StateSet& current = states_for(states, x);
-    StateSet next;
-    for (const auto& s : current) {
-      for (auto& reached : replay_states(*s, per_object.at(x))) {
-        next.push_back(std::move(reached));
-      }
-    }
-    dedupe(next);
-    if (next.empty()) {
-      if (why != nullptr) {
-        std::ostringstream out;
-        out << "activity " << argus::to_string(id) << " (key " << act.key()
-            << ") has no acceptable replay at object " << argus::to_string(x)
-            << " (" << system_.spec_of(x).type_name() << "); h|a|x =\n"
-            << per_object.at(x).to_string();
-        *why = out.str();
-      }
-      return false;
-    }
-    next_sets[x] = std::move(next);
-  }
-  for (auto& [x, next] : next_sets) states[x] = std::move(next);
-  return true;
+  return false;
 }
 
 void VectorClockChecker::register_fold(const ActivityState& act,
                                        std::uint64_t key) {
-  for (const SequencedEvent& se : act.events) {
-    if (se.event.kind != EventKind::kInvoke) continue;
-    if (!system_.has(se.event.object)) continue;
+  for (const SequencedEvent* se : act.events) {
+    if (se->event.kind != EventKind::kInvoke) continue;
+    if (!system_.has(se->event.object)) continue;
     auto [it, inserted] =
-        window_ops_[se.event.object].try_emplace(se.event.operation, key);
+        window_ops_[se->event.object].try_emplace(se->event.operation, key);
     if (!inserted) it->second = std::max(it->second, key);
   }
 }
@@ -340,24 +397,13 @@ void VectorClockChecker::report_violation(ActivityId id, ActivityState& act,
   (void)id;
 }
 
-VectorClockChecker::StateSet& VectorClockChecker::states_for(StateMap& states,
-                                                             ObjectId x) {
-  auto it = states.find(x);
-  if (it == states.end()) {
-    StateSet initial;
-    initial.push_back(system_.spec_of(x).initial_state());
-    it = states.emplace(x, std::move(initial)).first;
-  }
-  return it->second;
-}
-
-void VectorClockChecker::advance_frontier(std::uint64_t clock_hint) {
+void VectorClockChecker::advance_frontier(std::uint64_t frontier) {
   ++stats_.windows;
-  std::uint64_t frontier = clock_hint;
   if (!open_initiations_.empty()) {
     frontier = std::min(frontier, *open_initiations_.begin());
   }
   frontier_seen_ = std::max(frontier_seen_, frontier);
+  fold_held(frontier_seen_);
   if (dirty_ && options_.escalate) {
     ++stats_.escalations;
     reseal_epoch(frontier, /*exact_verdicts=*/true);
@@ -380,7 +426,8 @@ void VectorClockChecker::seal_clean_epoch(std::uint64_t /*frontier*/) {
   // Monotone clean epoch: every folded key is below the frontier and the
   // observed chain is the canonical chain — seal by cloning, no replay.
   ++stats_.checkpoints;
-  checkpoint_ = clone_states(observed_);
+  ++stats_.clean_seals;
+  checkpoint_ = SerialFold::clone(observed_);
   checkpoint_key_ = std::max(checkpoint_key_, epoch_max_key_);
   for (ActivityId id : deferred_) {
     auto it = activities_.find(id);
@@ -409,6 +456,7 @@ void VectorClockChecker::reseal_epoch(std::uint64_t frontier,
   // the incremental check the suspicious path escalates to, and the seal
   // for epochs whose observed order cannot be trusted wholesale.
   ++stats_.checkpoints;
+  ++stats_.reseals;
   std::vector<std::pair<std::uint64_t, ActivityId>> order;
   for (ActivityId id : epoch_folded_) {
     auto it = activities_.find(id);
@@ -420,7 +468,7 @@ void VectorClockChecker::reseal_epoch(std::uint64_t frontier,
   std::sort(order.begin(), order.end());
   order.erase(std::unique(order.begin(), order.end()), order.end());
 
-  StateMap states = clone_states(checkpoint_);
+  StateMap states = SerialFold::clone(checkpoint_);
   std::vector<ActivityId> sealed;
   std::vector<ActivityId> remaining;
   std::uint64_t max_sealed_key = checkpoint_key_;
@@ -428,12 +476,12 @@ void VectorClockChecker::reseal_epoch(std::uint64_t frontier,
   bool still_dirty = false;
   for (const auto& [key, id] : order) {
     if (!crossed && key >= frontier) {
-      checkpoint_ = clone_states(states);
+      checkpoint_ = SerialFold::clone(states);
       crossed = true;
     }
     ActivityState& act = activities_.at(id);
     std::string why;
-    const bool ok = replay_into(id, act, states, &why);
+    const bool ok = fold_.fold(id, act.key(), act.events, states, &why);
     if (!crossed) {
       if (ok) {
         act.folded = true;
@@ -479,7 +527,7 @@ void VectorClockChecker::reseal_epoch(std::uint64_t frontier,
       remaining.push_back(id);
     }
   }
-  if (!crossed) checkpoint_ = clone_states(states);
+  if (!crossed) checkpoint_ = SerialFold::clone(states);
   checkpoint_key_ = max_sealed_key;
   observed_ = std::move(states);
 
@@ -536,6 +584,7 @@ void VectorClockChecker::finish() {
   // Open initiations of activities that never commit impose no
   // constraint on the committed projection: flush everything.
   frontier_seen_ = kMaxKey;
+  fold_held(kMaxKey);
   if (dirty_ && options_.escalate) {
     ++stats_.escalations;
     reseal_epoch(kMaxKey, /*exact_verdicts=*/true);
@@ -552,6 +601,16 @@ VcVerdict VectorClockChecker::verdict() const {
     return VcVerdict::kSuspicious;
   }
   return VcVerdict::kPass;
+}
+
+std::uint64_t VectorClockChecker::oldest_retained_seq() const {
+  std::uint64_t oldest = kMaxKey;
+  for (const auto& [id, act] : activities_) {
+    for (const SequencedEvent* se : act.events) {
+      oldest = std::min(oldest, se->seq);
+    }
+  }
+  return oldest;
 }
 
 std::vector<std::string> VectorClockChecker::drain_reports() {
@@ -614,12 +673,15 @@ VcReport check_vc_atomic(const SystemSpec& system, const History& h,
     }
     future_min[i - 1] = std::min(future_min[i], key);
   }
+  // The checker points into its events: this wrapper owns the copies.
+  std::vector<SequencedEvent> owned;
+  owned.reserve(events.size());
   std::uint64_t seq = 0;
-  for (const Event& e : events) {
-    ++seq;
-    checker.feed(SequencedEvent{seq, e});
-    if (window != 0 && seq % window == 0 && seq < events.size()) {
-      checker.advance_frontier(future_min[seq]);
+  for (const Event& e : events) owned.push_back(SequencedEvent{++seq, e});
+  for (const SequencedEvent& se : owned) {
+    checker.feed(&se);
+    if (window != 0 && se.seq % window == 0 && se.seq < events.size()) {
+      checker.advance_frontier(future_min[se.seq]);
     }
   }
   checker.finish();

@@ -1,5 +1,7 @@
 #include "txn/clock.h"
 
+#include <algorithm>
+
 #include "common/adaptive_lock.h"
 #include "dsched/wait_policy.h"
 
@@ -95,16 +97,23 @@ void LamportClock::observe_committed(Timestamp ts) {
 }
 
 Timestamp LamportClock::read_only_begin() {
-  WaitPolicy* policy = policy_.load(std::memory_order_acquire);
-  Timestamp ts;
-  {
-    // Drawn under mu_: begin_commit draws and registers under it too, so
-    // every commit timestamp below `ts` is already in the table.
-    const auto lock = adaptive_lock(mu_);
-    ts = next();
-  }
-  await_covered(ts, policy);
+  const Timestamp ts = draw_start();
+  await_covered(ts, policy_.load(std::memory_order_acquire));
   return ts;
+}
+
+Timestamp LamportClock::draw_start() {
+  // Drawn under mu_: begin_commit draws and registers under it too, so
+  // every commit timestamp below the result is already in the table.
+  const auto lock = adaptive_lock(mu_);
+  return next();
+}
+
+Timestamp LamportClock::frontier() const {
+  const auto lock = adaptive_lock(mu_);
+  const Timestamp next_draw = counter_.load(std::memory_order_relaxed) + 1;
+  return inflight_.empty() ? next_draw
+                           : std::min(next_draw, *inflight_.begin());
 }
 
 void LamportClock::wait_covered(Timestamp ts) {

@@ -132,7 +132,14 @@ class LamportClock {
   /// Draws a start timestamp for a read-only activity: a fresh timestamp
   /// t such that, on return, every commit with timestamp below t has
   /// fully applied. Blocks while in-flight commits below t drain.
+  /// Equivalent to wait_covered(draw_start()).
   Timestamp read_only_begin();
+
+  /// Draws a fresh timestamp under mu_, the lock begin_commit draws and
+  /// registers under, so every commit timestamp below the result is
+  /// already in the in-flight table. A read-only begin that must register
+  /// its timestamp before it waits draws here, then calls wait_covered.
+  Timestamp draw_start();
 
   /// Waits until every in-flight commit with timestamp below `ts` has
   /// retired (used when the caller supplies its own start timestamp). Call
@@ -144,6 +151,13 @@ class LamportClock {
   [[nodiscard]] Timestamp watermark() const {
     return watermark_.load(std::memory_order_acquire);
   }
+
+  /// The smallest commit timestamp not yet retired: the in-flight
+  /// minimum, or the next timestamp to be drawn when none is in flight.
+  /// Read under mu_, so a commit timestamp that has been drawn is also
+  /// registered. Every retired commit timestamp lies below the result,
+  /// and so does every sequence number already drawn.
+  [[nodiscard]] Timestamp frontier() const;
 
   /// In-flight commit count (metrics).
   [[nodiscard]] std::size_t inflight() const;

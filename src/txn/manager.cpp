@@ -1,5 +1,6 @@
 #include "txn/manager.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/adaptive_lock.h"
@@ -27,71 +28,91 @@ std::shared_ptr<Transaction> TransactionManager::begin(TxnKind kind) {
   if (WaitPolicy* policy = wait_policy()) {
     policy->yield(LaneHint{WaitPoint::kTxnBegin});
   }
-  Timestamp ts;
   if (commit_mode() == CommitMode::kSingleMutex) {
-    const std::scoped_lock lock(commit_mu_);
-    ts = clock_.next();
-  } else if (kind == TxnKind::kReadOnly) {
+    const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
+    const std::scoped_lock commit_lock(commit_mu_);
+    const auto lock = adaptive_lock(mu_);
+    return begin_locked(id, kind, std::nullopt);
+  }
+  if (kind == TxnKind::kReadOnly) {
     // Pin the snapshot to the watermark: the begin returns only once
     // every commit below the drawn timestamp has fully applied.
-    ts = clock_.read_only_begin();
-  } else {
-    ts = clock_.next();
+    return begin_read_only(std::nullopt, std::nullopt);
   }
   const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
-  auto t = std::make_shared<Transaction>(id, kind, ts);
-  {
-    const auto lock = adaptive_lock(mu_);
-    active_[id] = t;
-    ++stats_.begun;
-  }
-  return t;
+  const auto lock = adaptive_lock(mu_);
+  return begin_locked(id, kind, std::nullopt);
 }
 
 std::shared_ptr<Transaction> TransactionManager::begin_with_timestamp(
     TxnKind kind, Timestamp start_ts) {
   if (commit_mode() == CommitMode::kSingleMutex) {
-    const std::scoped_lock lock(commit_mu_);
-    clock_.observe(start_ts);
-  } else {
-    clock_.observe(start_ts);
-    if (kind == TxnKind::kReadOnly) clock_.wait_covered(start_ts);
-  }
-  const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
-  auto t = std::make_shared<Transaction>(id, kind, start_ts);
-  {
+    const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
+    const std::scoped_lock commit_lock(commit_mu_);
     const auto lock = adaptive_lock(mu_);
-    active_[id] = t;
-    ++stats_.begun;
+    return begin_locked(id, kind, start_ts);
   }
-  return t;
+  if (kind == TxnKind::kReadOnly) return begin_read_only(std::nullopt, start_ts);
+  const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
+  const auto lock = adaptive_lock(mu_);
+  return begin_locked(id, kind, start_ts);
 }
 
 std::shared_ptr<Transaction> TransactionManager::begin_as(
     ActivityId id, TxnKind kind, std::optional<Timestamp> start_ts) {
+  if (kind == TxnKind::kReadOnly) return begin_read_only(id, start_ts);
+  const auto lock = adaptive_lock(mu_);
+  auto it = active_.find(id);
+  if (it != active_.end() && !it->second.txn.expired()) {
+    throw UsageError("begin_as: activity " + to_string(id) +
+                     " already active");
+  }
+  return begin_locked(id, kind, start_ts);
+}
+
+std::shared_ptr<Transaction> TransactionManager::begin_locked(
+    ActivityId id, TxnKind kind, std::optional<Timestamp> start_ts) {
   Timestamp ts;
   if (start_ts.has_value()) {
     clock_.observe(*start_ts);
-    if (kind == TxnKind::kReadOnly) clock_.wait_covered(*start_ts);
     ts = *start_ts;
-  } else if (kind == TxnKind::kReadOnly) {
-    ts = clock_.read_only_begin();
   } else {
     ts = clock_.next();
   }
   auto t = std::make_shared<Transaction>(id, kind, ts);
+  active_[id] = ActiveEntry{t, ts};
+  ++stats_.begun;
+  return t;
+}
+
+std::shared_ptr<Transaction> TransactionManager::begin_read_only(
+    std::optional<ActivityId> id, std::optional<Timestamp> start_ts) {
+  Timestamp ts;
   {
+    // Registered before the coverage wait: the start timestamp is this
+    // activity's serialization key, and the frontier must not pass it.
     const auto lock = adaptive_lock(mu_);
-    auto [it, inserted] = active_.emplace(id, t);
-    if (!inserted) {
-      if (it->second.lock() != nullptr) {
-        throw UsageError("begin_as: activity " + to_string(id) +
-                         " already active");
-      }
-      it->second = t;
+    if (start_ts.has_value()) {
+      clock_.observe(*start_ts);
+      ts = *start_ts;
+    } else {
+      ts = clock_.draw_start();
     }
-    ++stats_.begun;
+    beginning_.insert(ts);
   }
+  clock_.wait_covered(ts);
+  const ActivityId aid =
+      id.value_or(ActivityId{next_id_.fetch_add(1, std::memory_order_relaxed)});
+  auto t = std::make_shared<Transaction>(aid, TxnKind::kReadOnly, ts);
+  const auto lock = adaptive_lock(mu_);
+  beginning_.erase(beginning_.find(ts));
+  auto [it, inserted] = active_.try_emplace(aid);
+  if (!inserted && id.has_value() && !it->second.txn.expired()) {
+    throw UsageError("begin_as: activity " + to_string(aid) +
+                     " already active");
+  }
+  it->second = ActiveEntry{t, ts};
+  ++stats_.begun;
   return t;
 }
 
@@ -294,7 +315,11 @@ void TransactionManager::commit_single_mutex(
     finish_abort(t, e.reason());
     throw;
   }
-  const Timestamp ts = clock_.next();
+  // In flight until applied, like a pipelined commit, so the
+  // serialization frontier stays below this key until the commit events
+  // are recorded.
+  const Timestamp ts = clock_.begin_commit();
+  const auto retire = on_scope_exit([&] { clock_.finish_commit(ts); });
   t->set_commit_ts(ts);
   log_.append(build_record(*t, objects, ts));  // write-ahead
   for (ManagedObject* o : objects) o->commit(*t, ts);
@@ -445,6 +470,17 @@ void TransactionManager::finish_abort(const std::shared_ptr<Transaction>& t,
   for (ManagedObject* o : objects) o->wake_all();
 }
 
+Timestamp TransactionManager::serialization_frontier() const {
+  const auto lock = adaptive_lock(mu_);
+  Timestamp frontier = clock_.frontier();
+  for (const auto& [id, entry] : active_) {
+    // A transaction dropped without finishing records nothing more.
+    if (!entry.txn.expired()) frontier = std::min(frontier, entry.start_ts);
+  }
+  if (!beginning_.empty()) frontier = std::min(frontier, *beginning_.begin());
+  return frontier;
+}
+
 TxnStats TransactionManager::stats() const {
   const auto lock = adaptive_lock(mu_);
   return stats_;
@@ -473,13 +509,13 @@ void TransactionManager::doom_all_active(AbortReason reason) {
     // transaction either committed fully or is doomed.
     const std::scoped_lock commit_lock(commit_mu_);
     const auto lock = adaptive_lock(mu_);
-    for (auto& [id, weak] : active_) {
-      if (auto t = weak.lock()) doomed.push_back(std::move(t));
+    for (auto& [id, entry] : active_) {
+      if (auto t = entry.txn.lock()) doomed.push_back(std::move(t));
     }
   } else {
     const auto lock = adaptive_lock(mu_);
-    for (auto& [id, weak] : active_) {
-      if (auto t = weak.lock()) doomed.push_back(std::move(t));
+    for (auto& [id, entry] : active_) {
+      if (auto t = entry.txn.lock()) doomed.push_back(std::move(t));
     }
   }
   for (const auto& t : doomed) {
@@ -496,8 +532,8 @@ std::vector<std::shared_ptr<Transaction>>
 TransactionManager::active_transactions() const {
   const auto lock = adaptive_lock(mu_);
   std::vector<std::shared_ptr<Transaction>> out;
-  for (const auto& [id, weak] : active_) {
-    if (auto t = weak.lock()) out.push_back(std::move(t));
+  for (const auto& [id, entry] : active_) {
+    if (auto t = entry.txn.lock()) out.push_back(std::move(t));
   }
   return out;
 }

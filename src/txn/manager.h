@@ -24,8 +24,10 @@
 // committed updates below t because begin(kReadOnly) waits until the
 // watermark covers its (fresh, unique) timestamp — every commit below t
 // has fully applied before the begin returns, and every later commit
-// draws a larger timestamp. Update begins draw from the clock without
-// any lock at all.
+// draws a larger timestamp. A begin draws its start timestamp under the
+// manager's own mutex, in the critical section that registers the
+// transaction, so the serialization frontier (serialization_frontier())
+// never passes a start timestamp that is about to become a key.
 //
 // CommitMode::kSingleMutex preserves the seed behaviour — every commit
 // (and every begin) serialized under one mutex — as a baseline for
@@ -38,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -96,7 +99,8 @@ class TransactionManager {
   TransactionManager& operator=(const TransactionManager&) = delete;
 
   /// Starts a transaction. Update transactions draw their start timestamp
-  /// from the clock lock-free; read-only transactions additionally wait
+  /// in the same critical section that registers them; read-only
+  /// transactions register theirs first and then wait
   /// until the visibility watermark covers the drawn timestamp (see file
   /// comment). In kSingleMutex mode every begin serializes with commits.
   std::shared_ptr<Transaction> begin(TxnKind kind = TxnKind::kUpdate);
@@ -227,6 +231,19 @@ class TransactionManager {
   [[nodiscard]] TxnStats stats() const;
   [[nodiscard]] CommitPipelineStats pipeline_stats() const;
 
+  /// The serialization frontier: no activity can still take a
+  /// serialization key below it. It is the minimum of the clock's
+  /// frontier (in-flight commit timestamps, and the next draw) and the
+  /// start timestamp of every live transaction, begun or still beginning,
+  /// since a static or read-only activity serializes at its start. Every
+  /// start timestamp is drawn (or observed) under mu_ and registered in
+  /// the same critical section, and every commit timestamp stays in the
+  /// clock's in-flight table until its commit events are recorded, so a
+  /// committed activity whose key lies below a frontier read has recorded
+  /// its commit before the read. The atomicity sentinel reads it before
+  /// each drain.
+  [[nodiscard]] Timestamp serialization_frontier() const;
+
   /// Dooms every active transaction and discards un-forced group-commit
   /// records (crash path): each transaction either committed fully — its
   /// record was forced, so its apply completes and recovery replays it —
@@ -247,6 +264,15 @@ class TransactionManager {
   void finish_commit_bookkeeping(const std::shared_ptr<Transaction>& t,
                                  const std::vector<ManagedObject*>& objects);
   void finish_abort(const std::shared_ptr<Transaction>& t, AbortReason reason);
+  /// Draws (or, with `start_ts`, observes) a start timestamp and registers
+  /// the new transaction in active_, all under mu_ (the caller holds it).
+  /// Throws UsageError if `id` is already active.
+  std::shared_ptr<Transaction> begin_locked(
+      ActivityId id, TxnKind kind, std::optional<Timestamp> start_ts);
+  /// A pipelined read-only begin: registers the start timestamp in
+  /// beginning_, waits for watermark coverage, then moves it to active_.
+  std::shared_ptr<Transaction> begin_read_only(
+      std::optional<ActivityId> id, std::optional<Timestamp> start_ts);
 
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<CommitMode> mode_{CommitMode::kPipelined};
@@ -264,8 +290,15 @@ class TransactionManager {
   std::atomic<std::uint64_t> log_us_{0};
   std::atomic<std::uint64_t> apply_us_{0};
 
-  mutable std::mutex mu_;  // guards active_ and stats_
-  std::unordered_map<ActivityId, std::weak_ptr<Transaction>> active_;
+  struct ActiveEntry {
+    std::weak_ptr<Transaction> txn;
+    Timestamp start_ts{kNoTimestamp};
+  };
+
+  mutable std::mutex mu_;  // guards active_, beginning_ and stats_
+  std::unordered_map<ActivityId, ActiveEntry> active_;
+  // Start timestamps of read-only begins still waiting for coverage.
+  std::multiset<Timestamp> beginning_;
   TxnStats stats_;
 };
 

@@ -72,14 +72,16 @@ TEST(CommitPipeline, ReadOnlyScannersSeeExactlyTheCommittedPrefix) {
   };
   std::mutex observations_mu;
   std::vector<Observation> observations;
+  // Each scanner finishes one read before it looks at `stop`: the
+  // updaters can finish before a scanner thread is first scheduled.
   auto scanner = [&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       auto t = rt.begin_read_only();
       const Value v = account->invoke(*t, account::balance());
       rt.commit(t);
       const std::scoped_lock lock(observations_mu);
       observations.push_back({t->start_ts(), v.as_int()});
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   };
 
   std::vector<std::thread> threads;

@@ -4,7 +4,9 @@
 // the exact checkers lives in vc_differential_test (label vccheck).
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/atomicity.h"
@@ -21,6 +23,20 @@ SystemSpec one_set() {
   sys.add_object(X, "int_set");
   return sys;
 }
+
+/// Feeds events to a checker and owns them: the checker keeps pointers.
+class Feeder {
+ public:
+  explicit Feeder(VectorClockChecker& checker) : checker_(checker) {}
+  void operator()(SequencedEvent se) {
+    owned_.push_back(std::move(se));
+    checker_.feed(&owned_.back());
+  }
+
+ private:
+  VectorClockChecker& checker_;
+  std::deque<SequencedEvent> owned_;  // push_back never moves elements
+};
 
 TEST(CanonicalOrder, TimestampsAndCommitPositionsShareOneAxis) {
   // b commits first (seq 3) without a timestamp; a carries commit stamp 1
@@ -198,18 +214,19 @@ TEST(VcChecker, StragglerBelowTheCheckpointIsQuarantined) {
   VcCheckerOptions options;
   options.checkpoint_threshold = 1;  // seal at the first window
   VectorClockChecker checker(sys, options);
-  checker.feed({1, invoke(X, B, op("insert", 5))});
-  checker.feed({2, respond(X, B, ok())});
-  checker.feed({3, commit(X, B)});
+  Feeder feed(checker);
+  feed({1, invoke(X, B, op("insert", 5))});
+  feed({2, respond(X, B, ok())});
+  feed({3, commit(X, B)});
   checker.advance_frontier(100);  // seals the epoch; checkpoint key 3
   ASSERT_EQ(checker.stats().checkpoints, 1u);
 
   // a commits with stamp 2 — below the sealed prefix — and its member(5)
   // conflicts with the sealed insert(5): quarantined, counted, never a
   // violation.
-  checker.feed({4, invoke(X, A, op("member", 5))});
-  checker.feed({5, respond(X, A, Value{false})});
-  checker.feed({6, commit_at(X, A, 2)});
+  feed({4, invoke(X, A, op("member", 5))});
+  feed({5, respond(X, A, Value{false})});
+  feed({6, commit_at(X, A, 2)});
   checker.finish();
   EXPECT_EQ(checker.stats().stragglers, 1u);
   EXPECT_EQ(checker.stats().violations, 0u);
@@ -222,17 +239,18 @@ TEST(VcChecker, CommutingStragglerIsFoldedInPlace) {
   VcCheckerOptions options;
   options.checkpoint_threshold = 1;
   VectorClockChecker checker(sys, options);
-  checker.feed({1, invoke(X, B, op("deposit", 5))});
-  checker.feed({2, respond(X, B, ok())});
-  checker.feed({3, commit(X, B)});
+  Feeder feed(checker);
+  feed({1, invoke(X, B, op("deposit", 5))});
+  feed({2, respond(X, B, ok())});
+  feed({3, commit(X, B)});
   checker.advance_frontier(100);
   ASSERT_EQ(checker.stats().checkpoints, 1u);
 
   // a arrives below the checkpoint, but its deposit always-commutes with
   // the sealed deposit: folded by commutation, verdict stays PASS.
-  checker.feed({4, invoke(X, A, op("deposit", 3))});
-  checker.feed({5, respond(X, A, ok())});
-  checker.feed({6, commit_at(X, A, 2)});
+  feed({4, invoke(X, A, op("deposit", 3))});
+  feed({5, respond(X, A, ok())});
+  feed({6, commit_at(X, A, 2)});
   checker.finish();
   EXPECT_EQ(checker.stats().stragglers, 0u);
   EXPECT_EQ(checker.stats().straggler_resolved, 1u);
@@ -262,14 +280,15 @@ TEST(VcChecker, OpenInitiationHoldsTheFrontier) {
   // certify.
   const auto sys = one_set();
   VectorClockChecker checker(sys, {});
-  checker.feed({1, initiate(X, R, 1)});
-  checker.feed({2, invoke(X, B, op("insert", 7))});
-  checker.feed({3, respond(X, B, ok())});
-  checker.feed({4, commit(X, B)});
+  Feeder feed(checker);
+  feed({1, initiate(X, R, 1)});
+  feed({2, invoke(X, B, op("insert", 7))});
+  feed({3, respond(X, B, ok())});
+  feed({4, commit(X, B)});
   checker.advance_frontier(4);  // frontier clamps to the open initiation
-  checker.feed({5, invoke(X, R, op("member", 7))});
-  checker.feed({6, respond(X, R, Value{false})});
-  checker.feed({7, commit(X, R)});
+  feed({5, invoke(X, R, op("member", 7))});
+  feed({6, respond(X, R, Value{false})});
+  feed({7, commit(X, R)});
   checker.finish();
   EXPECT_EQ(checker.verdict(), VcVerdict::kPass) << checker.last_suspicion();
   EXPECT_EQ(checker.stats().certified, 2u);

@@ -3,8 +3,9 @@
 // cases worth pinning forever — one per fast-path decision family
 // (clean fold, proven violation, escalation-resolved swap, commuting
 // swap). Each file carries its expected kEscalating verdict; the replay
-// asserts it at several window sizes and checks the monitoring-only
-// mode's soundness on the same history.
+// asserts it at several window sizes, for the arrival-order and the
+// hold-back fold, and checks the monitoring-only mode's soundness on the
+// same history.
 //
 // The binary doubles as the minimization tool:
 //
@@ -156,6 +157,14 @@ TEST_P(VcCorpus, ReplaysToItsPinnedVerdict) {
       EXPECT_NE(vc.verdict, VcVerdict::kViolation)
           << path << " window " << window;
     }
+
+    // The sentinel's hold-back configuration reaches the pinned verdict
+    // without escalating.
+    VcCheckerOptions held;
+    held.hold_back = true;
+    const VcReport hb = check_vc_atomic(c.system, c.history, held, window);
+    EXPECT_EQ(hb.verdict, c.expect) << path << " window " << window;
+    EXPECT_EQ(hb.stats.escalations, 0u) << path << " window " << window;
   }
 }
 

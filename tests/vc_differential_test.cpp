@@ -265,6 +265,22 @@ void check_one(const Bank& bank, const SystemSpec& sys, const History& h,
       return;
     }
 
+    // The sentinel's configuration: commits fold only once the (exact)
+    // frontier passes their key, in key order. Every fold is then
+    // canonical, so the fast path alone gives the exact verdict.
+    VcCheckerOptions held;
+    held.hold_back = true;
+    const VcReport hb = check_vc_atomic(sys, h, held, window);
+    EXPECT_EQ(hb.verdict == VcVerdict::kPass, exact.ok)
+        << bank.name << " seed " << seed << " window " << window
+        << ": hold-back says " << to_string(hb.verdict);
+    EXPECT_NE(hb.verdict, VcVerdict::kSuspicious)
+        << bank.name << " seed " << seed << " window " << window;
+    EXPECT_EQ(hb.stats.escalations, 0u)
+        << bank.name << " seed " << seed << " window " << window;
+    EXPECT_EQ(hb.stats.reseals, 0u)
+        << bank.name << " seed " << seed << " window " << window;
+
     // The linear-time claim for the dynamic/2PL discipline: unstamped
     // keys are first-commit positions, which arrive in fold order, so a
     // passing history never even goes suspicious.
