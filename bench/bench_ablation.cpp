@@ -64,7 +64,7 @@ void run_contended_on(benchmark::State& state,
 void run_contended(benchmark::State& state, AdmissionMode mode,
                    bool commuting_only) {
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto acct = make_account(rt, mode, 1'000'000);
     run_contended_on(state, acct, rt, commuting_only, 4,
                      std::string("ablation/") +
@@ -79,7 +79,7 @@ void run_contended(benchmark::State& state, AdmissionMode mode,
 void run_contended_escrow(benchmark::State& state, bool commuting_only,
                           int threads) {
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto acct = std::make_shared<EscrowAccount>(rt.allocate_object_id(),
                                                 "escrow", rt.tm(), nullptr);
     rt.adopt(acct, std::make_shared<AdtSpec<BankAccountAdt>>());
@@ -128,7 +128,7 @@ BENCHMARK(BM_Ablation_Deposits_TableOnly)->Unit(benchmark::kMillisecond)->Iterat
 // conflicting transactions (each holding one covered withdraw).
 void BM_Ablation_AdmissionCpu(benchmark::State& state) {
   const int pending = static_cast<int>(state.range(0));
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = make_account(rt, AdmissionMode::kExact, 1'000'000);
 
   std::vector<std::shared_ptr<Transaction>> stage;

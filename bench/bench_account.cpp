@@ -23,7 +23,7 @@ namespace {
 void run_account(benchmark::State& state, Protocol protocol) {
   const std::int64_t headroom = state.range(0);
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto scenario = AccountScenario::create(rt, protocol, headroom);
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
 

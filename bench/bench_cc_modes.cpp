@@ -46,12 +46,10 @@ constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
 // ---------------------------------------------------------------------------
 // Certification pass: small, recorded, sentinel on, offline checkers.
 
-void run_certify(benchmark::State& state, CCMode mode) {
+void run_certify(benchmark::State& state, Protocol mode) {
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/true);
-    rt.set_cc_mode(mode);
-    auto bank = BankScenario::create(rt, to_protocol(mode), /*n=*/3,
-                                     kInitialBalance);
+    Runtime rt;
+    auto bank = BankScenario::create(rt, mode, /*n=*/3, kInitialBalance);
     rt.set_wait_timeout_all(std::chrono::milliseconds(500));
     AtomicitySentinel& sentinel = rt.start_sentinel();
 
@@ -71,10 +69,10 @@ void run_certify(benchmark::State& state, CCMode mode) {
 
     const History h = rt.history();
     Certifier cert;
-    cert.check_history(to_protocol(mode), rt.system(), h, {});
+    cert.check_history(mode, rt.system(), h, {});
     const bool cert_ok = cert.ok();
     const bool conserved =
-        bank.total_balance(rt, mode_supports_snapshot_reads(mode)) ==
+        bank.total_balance(rt, supports_snapshot_reads(mode)) ==
         3 * kInitialBalance;
 
     const std::string key = "e15/certify/" + to_string(mode);
@@ -91,13 +89,11 @@ void run_certify(benchmark::State& state, CCMode mode) {
 // ---------------------------------------------------------------------------
 // Measured pass: identical seeded workload, threads in {1,2,4,8}.
 
-void run_mode(benchmark::State& state, CCMode mode) {
+void run_mode(benchmark::State& state, Protocol mode) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
-    rt.set_cc_mode(mode);
-    auto bank =
-        BankScenario::create(rt, to_protocol(mode), kAccounts, kInitialBalance);
+    Runtime rt(Runtime::RecorderMode::kOff);
+    auto bank = BankScenario::create(rt, mode, kAccounts, kInitialBalance);
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
 
     // Same seed and task count for every (mode, threads) cell: the
@@ -110,7 +106,7 @@ void run_mode(benchmark::State& state, CCMode mode) {
     WorkloadDriver driver(rt, options);
     const auto result = driver.run({
         bank.transfer_mix(5, 8, /*hold_us=*/5),
-        bank.audit_mix(mode_supports_snapshot_reads(mode), 2, /*hold_us=*/10),
+        bank.audit_mix(supports_snapshot_reads(mode), 2, /*hold_us=*/10),
     });
 
     const std::string key =
@@ -119,7 +115,7 @@ void run_mode(benchmark::State& state, CCMode mode) {
     bench::report_label(state, result, "transfer", key);
     bench::report_label(state, result, "audit", key);
     const bool conserved =
-        bank.total_balance(rt, mode_supports_snapshot_reads(mode)) == kTotal;
+        bank.total_balance(rt, supports_snapshot_reads(mode)) == kTotal;
     state.counters["conserved"] = conserved ? 1.0 : 0.0;
     bench::JsonSink::instance().update(key,
                                        {{"conserved", conserved ? 1.0 : 0.0}});
@@ -127,30 +123,32 @@ void run_mode(benchmark::State& state, CCMode mode) {
 }
 
 void BM_E15_Certify_Dynamic(benchmark::State& state) {
-  run_certify(state, CCMode::kDynamic);
+  run_certify(state, Protocol::kDynamic);
 }
 void BM_E15_Certify_Static(benchmark::State& state) {
-  run_certify(state, CCMode::kStatic);
+  run_certify(state, Protocol::kStatic);
 }
 void BM_E15_Certify_Hybrid(benchmark::State& state) {
-  run_certify(state, CCMode::kHybrid);
+  run_certify(state, Protocol::kHybrid);
 }
 void BM_E15_Certify_Occ(benchmark::State& state) {
-  run_certify(state, CCMode::kOcc);
+  run_certify(state, Protocol::kOcc);
 }
 void BM_E15_Certify_Mvcc(benchmark::State& state) {
-  run_certify(state, CCMode::kMvcc);
+  run_certify(state, Protocol::kMvcc);
 }
 
 void BM_E15_Dynamic(benchmark::State& state) {
-  run_mode(state, CCMode::kDynamic);
+  run_mode(state, Protocol::kDynamic);
 }
 void BM_E15_Static(benchmark::State& state) {
-  run_mode(state, CCMode::kStatic);
+  run_mode(state, Protocol::kStatic);
 }
-void BM_E15_Hybrid(benchmark::State& state) { run_mode(state, CCMode::kHybrid); }
-void BM_E15_Occ(benchmark::State& state) { run_mode(state, CCMode::kOcc); }
-void BM_E15_Mvcc(benchmark::State& state) { run_mode(state, CCMode::kMvcc); }
+void BM_E15_Hybrid(benchmark::State& state) {
+  run_mode(state, Protocol::kHybrid);
+}
+void BM_E15_Occ(benchmark::State& state) { run_mode(state, Protocol::kOcc); }
+void BM_E15_Mvcc(benchmark::State& state) { run_mode(state, Protocol::kMvcc); }
 
 static void CertifyArgs(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->Iterations(1);

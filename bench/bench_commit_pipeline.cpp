@@ -1,19 +1,15 @@
-// E11 — commit pipeline scaling: staged pipeline vs the seed's single
-// global commit mutex.
+// E11 — commit pipeline scaling.
 //
 // Claim measured: restructuring the commit path into validate → timestamp
 // → group-commit log force → ordered apply+publish shrinks the global
 // critical section to a timestamp allocation, so committed-transaction
-// throughput scales with thread count on a commuting-updates workload,
-// while the single-mutex baseline flatlines — each of its commits holds
-// the global mutex across the full log force (one simulated storage
-// round trip per transaction, vs one per batch under group commit).
+// throughput scales with thread count on a commuting-updates workload.
 //
 // Workload: hybrid bank accounts, deposit-only transactions (deposits
 // commute in every state, so admission never blocks and the commit path
-// itself is the bottleneck). Swept: mode x thread count 1..16. The
-// simulated force delay models an fsync; both modes pay it, only the
-// pipeline amortizes it across a batch.
+// itself is the bottleneck). Swept: thread count 1..16. The simulated
+// force delay models an fsync that group commit amortizes across a
+// batch.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -26,11 +22,10 @@ namespace {
 constexpr int kAccounts = 8;
 constexpr auto kForceDelay = std::chrono::microseconds(20);
 
-void run_commit_pipeline(benchmark::State& state, CommitMode mode) {
+void BM_CommitPipeline_Pipelined(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
-    rt.tm().set_commit_mode(mode);
+    Runtime rt(Runtime::RecorderMode::kOff);
     rt.tm().log().set_force_delay(kForceDelay);
     std::vector<std::shared_ptr<ManagedObject>> accounts;
     for (int i = 0; i < kAccounts; ++i) {
@@ -50,27 +45,13 @@ void run_commit_pipeline(benchmark::State& state, CommitMode mode) {
           auto& account = accounts[rng.below(accounts.size())];
           account->invoke(txn, account::deposit(1));
         }}});
-    const std::string key =
-        std::string("commit/") +
-        (mode == CommitMode::kPipelined ? "pipelined" : "single_mutex") +
-        "/t" + std::to_string(threads);
+    const std::string key = "commit/pipelined/t" + std::to_string(threads);
     bench::report(state, result, key);
     bench::report_label(state, result, "deposit", key);
   }
 }
 
-void BM_CommitPipeline_SingleMutex(benchmark::State& state) {
-  run_commit_pipeline(state, CommitMode::kSingleMutex);
-}
-void BM_CommitPipeline_Pipelined(benchmark::State& state) {
-  run_commit_pipeline(state, CommitMode::kPipelined);
-}
-
 // Arg = worker thread count.
-BENCHMARK(BM_CommitPipeline_SingleMutex)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 BENCHMARK(BM_CommitPipeline_Pipelined)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond)

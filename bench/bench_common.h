@@ -9,8 +9,16 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 
 #include "sim/metrics.h"
+
+#ifndef ARGUS_BENCH_BUILD_TYPE
+#define ARGUS_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef ARGUS_BENCH_SANITIZER
+#define ARGUS_BENCH_SANITIZER "unknown"
+#endif
 
 namespace argus::bench {
 
@@ -20,7 +28,9 @@ namespace argus::bench {
 /// to the working directory when unset), so the perf trajectory can be
 /// diffed across PRs without scraping the human-oriented console table —
 /// and so CI finds every artifact in one place no matter which directory
-/// the binary ran from.
+/// the binary ran from. A leading "_provenance" entry names the build
+/// type, the host's hardware concurrency and the sanitizer ("none" when
+/// ARGUS_SANITIZE is unset), so a number is never read without them.
 class JsonSink {
  public:
   static JsonSink& instance() {
@@ -54,12 +64,12 @@ class JsonSink {
 #endif
     std::ofstream out(dir + "BENCH_" + program_invocation_short_name +
                       ".json");
-    out << "{\n";
-    bool first_bench = true;
+    out << "{\n  \"_provenance\": {\"build_type\": \""
+        << escape(ARGUS_BENCH_BUILD_TYPE)
+        << "\", \"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"sanitizer\": \"" << escape(ARGUS_BENCH_SANITIZER) << "\"}";
     for (const auto& [name, counters] : results_) {
-      if (!first_bench) out << ",\n";
-      first_bench = false;
-      out << "  \"" << escape(name) << "\": {";
+      out << ",\n  \"" << escape(name) << "\": {";
       bool first = true;
       for (const auto& [k, v] : counters) {
         if (!first) out << ", ";

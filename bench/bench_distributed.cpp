@@ -14,10 +14,8 @@
 //
 // E18 — decision-log force cost. Every 2PC decision is force-written to
 // the coordinator's DecisionLog before delivery (crash-tolerant commit
-// coordination); durable_decisions=false is the PR 6 in-memory baseline.
-// With the same simulated storage latency on both the participants'
-// prepares and the decision force, the benchmark prices exactly one
-// extra forced write per multi-site commit.
+// coordination), with the same simulated storage latency as the
+// participants' prepares.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -179,19 +177,16 @@ void BM_DistScaling_CrossSite2PC(benchmark::State& state) {
 }
 
 // E18: the price of crash-tolerant commit coordination. Cross-site 2PC
-// transfers on two sites, once with the durable decision log (every
-// decision force-written before delivery, same simulated storage
-// latency as the participants' prepares) and once with the in-memory
-// PR 6 baseline. Arg(1) = durable, Arg(0) = baseline.
+// transfers on two sites with the durable decision log (every decision
+// force-written before delivery, same simulated storage latency as the
+// participants' prepares).
 void BM_DecisionLogCost(benchmark::State& state) {
-  const bool durable = state.range(0) != 0;
   constexpr std::size_t kSites = 2;
   for (auto _ : state) {
     DistOptions options;
     options.sites = kSites;
     options.protocol = Protocol::kHybrid;
     options.recorder = Runtime::RecorderMode::kOff;
-    options.durable_decisions = durable;
     auto dist = std::make_unique<DistRuntime>(options);
     const std::size_t accounts = kSites * kAccountsPerSite;
     for (std::size_t j = 0; j < accounts; ++j) {
@@ -215,8 +210,7 @@ void BM_DecisionLogCost(benchmark::State& state) {
     plan.leader_latency_us = 50;
     dist->set_fault_plan(plan);
     // The decision force pays the same "disk" as every participant
-    // force; the baseline writes nothing, so the delta is one forced
-    // write per multi-site commit.
+    // force.
     dist->decision_log().set_force_delay(std::chrono::microseconds(50));
 
     const auto start = std::chrono::steady_clock::now();
@@ -249,9 +243,7 @@ void BM_DecisionLogCost(benchmark::State& state) {
     counters["decisions_truncated"] =
         static_cast<double>(stats.decisions_truncated);
     for (const auto& [k, v] : counters) state.counters[k] = v;
-    bench::JsonSink::instance().update(
-        std::string("decision_log/") + (durable ? "durable" : "in_memory"),
-        counters);
+    bench::JsonSink::instance().update("decision_log/durable", counters);
   }
 }
 
@@ -267,8 +259,6 @@ BENCHMARK(BM_DistScaling_CrossSite2PC)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 BENCHMARK(BM_DecisionLogCost)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

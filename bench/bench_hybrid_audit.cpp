@@ -26,7 +26,7 @@ void run_audit(benchmark::State& state, Protocol protocol) {
   const int accounts = static_cast<int>(state.range(0));
   const int audit_weight = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto bank = BankScenario::create(rt, protocol, accounts, kInitialBalance);
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
 

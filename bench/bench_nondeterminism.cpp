@@ -28,7 +28,7 @@ namespace {
 void run_consumers(benchmark::State& state, bool use_bag) {
   const int consumers = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     std::shared_ptr<ManagedObject> obj;
     if (use_bag) {
       obj = rt.create_hybrid_bag("b");

@@ -3,10 +3,9 @@
 // Claim measured: the sharded flight recorder makes event capture cheap
 // enough to leave on in production — committed-transaction throughput
 // with recording on stays within a few percent of recording off at 8
-// threads, while the seed's global-mutex HistoryRecorder (kLegacyMutex)
-// pays a second serialization point on every event. The online atomicity
-// sentinel rides the same stream from a background thread, so continuous
-// serializability checking adds only the drain cost to the foreground.
+// threads. The online atomicity sentinel rides the same stream from a
+// background thread, so continuous serializability checking adds only
+// the drain cost to the foreground.
 //
 // Workload: hybrid bank accounts under a commuting deposit mix plus
 // transfers (same shape as E11, so the commit path — not admission — is
@@ -27,7 +26,7 @@ namespace {
 constexpr int kAccounts = 8;
 constexpr auto kForceDelay = std::chrono::microseconds(20);
 
-enum class ObsConfig { kOff, kFlight, kFlightSentinel, kLegacy };
+enum class ObsConfig { kOff, kFlight, kFlightSentinel };
 
 const char* config_name(ObsConfig c) {
   switch (c) {
@@ -37,23 +36,8 @@ const char* config_name(ObsConfig c) {
       return "flight";
     case ObsConfig::kFlightSentinel:
       return "flight_sentinel";
-    case ObsConfig::kLegacy:
-      return "legacy_mutex";
   }
   return "?";
-}
-
-Runtime::RecorderMode recorder_mode(ObsConfig c) {
-  switch (c) {
-    case ObsConfig::kOff:
-      return Runtime::RecorderMode::kOff;
-    case ObsConfig::kFlight:
-    case ObsConfig::kFlightSentinel:
-      return Runtime::RecorderMode::kFlight;
-    case ObsConfig::kLegacy:
-      return Runtime::RecorderMode::kLegacyMutex;
-  }
-  return Runtime::RecorderMode::kOff;
 }
 
 /// Recording-off throughput per thread count, measured first in this
@@ -66,7 +50,8 @@ std::map<int, double>& off_baseline() {
 void run_observability(benchmark::State& state, ObsConfig config) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(recorder_mode(config));
+    Runtime rt(config == ObsConfig::kOff ? Runtime::RecorderMode::kOff
+                                         : Runtime::RecorderMode::kFlight);
     rt.tm().log().set_force_delay(kForceDelay);
     std::vector<std::shared_ptr<ManagedObject>> accounts;
     for (int i = 0; i < kAccounts; ++i) {
@@ -134,9 +119,6 @@ void BM_Observability_Flight(benchmark::State& state) {
 void BM_Observability_FlightSentinel(benchmark::State& state) {
   run_observability(state, ObsConfig::kFlightSentinel);
 }
-void BM_Observability_LegacyMutex(benchmark::State& state) {
-  run_observability(state, ObsConfig::kLegacy);
-}
 
 // Arg = worker thread count. The off baseline must run first for a given
 // thread count so the ratios have a denominator (benchmarks execute in
@@ -150,10 +132,6 @@ BENCHMARK(BM_Observability_Flight)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 BENCHMARK(BM_Observability_FlightSentinel)
-    ->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_Observability_LegacyMutex)
     ->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);

@@ -22,7 +22,7 @@ namespace {
 void run_queue(benchmark::State& state, Protocol protocol) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto scenario = QueueScenario::create(rt, protocol);
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
 

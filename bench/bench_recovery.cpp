@@ -26,7 +26,7 @@ namespace {
 
 void BM_Recovery_CommitCost(benchmark::State& state) {
   const int ops = static_cast<int>(state.range(0));
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto set = rt.create_dynamic<IntSetAdt>("s");
   for (auto _ : state) {
     auto t = rt.begin();
@@ -40,7 +40,7 @@ void BM_Recovery_CommitCost(benchmark::State& state) {
 
 void BM_Recovery_AbortCost(benchmark::State& state) {
   const int ops = static_cast<int>(state.range(0));
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto set = rt.create_dynamic<IntSetAdt>("s");
   for (auto _ : state) {
     auto t = rt.begin();
@@ -54,7 +54,7 @@ void BM_Recovery_AbortCost(benchmark::State& state) {
 
 void BM_Recovery_ReplayCost(benchmark::State& state) {
   const int committed_txns = static_cast<int>(state.range(0));
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto set = rt.create_dynamic<IntSetAdt>("s");
   for (int i = 0; i < committed_txns; ++i) {
     auto t = rt.begin();
@@ -73,7 +73,7 @@ void BM_Recovery_ReplayCost(benchmark::State& state) {
 // chaos mix (transient force failures + torn tails).
 void BM_Fault_CommitOverhead(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto set = rt.create_dynamic<IntSetAdt>("s");
   std::shared_ptr<FaultInjector> injector;
   if (mode >= 1) {

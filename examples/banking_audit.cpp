@@ -24,7 +24,7 @@ int main() {
 
   for (Protocol protocol :
        {Protocol::kDynamic, Protocol::kStatic, Protocol::kHybrid}) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto bank = BankScenario::create(rt, protocol, kAccounts, kInitial);
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
 

@@ -19,7 +19,7 @@
 int main() {
   using namespace argus;
 
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto jobs = rt.create_hybrid_queue("jobs");
   auto results = rt.create_hybrid_queue("results");
 

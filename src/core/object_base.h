@@ -12,8 +12,7 @@
 // that commit event.
 //
 // Events flow through an EventSink (obs/event_sink.h) — the sharded
-// FlightRecorder in production, the global-mutex HistoryRecorder as the
-// reference implementation, or nullptr when capture is off. Counters are
+// FlightRecorder, or nullptr when capture is off. Counters are
 // maintained unconditionally (relaxed atomics); the runtime's metrics
 // registry scrapes them per object.
 #pragma once
@@ -59,6 +58,11 @@ class ObjectBase : public ManagedObject {
   void set_wait_timeout(std::chrono::milliseconds timeout) {
     wait_timeout_ = timeout;
   }
+
+  /// False for objects whose admission never waits (OCC/MVCC): their
+  /// wait and deadlock-doom counters stay zero by construction, so the
+  /// runtime leaves those series out of its metrics.
+  [[nodiscard]] virtual bool admission_blocks() const { return true; }
 
   [[nodiscard]] ObjectCounters counters() const {
     ObjectCounters out;

@@ -57,6 +57,8 @@ class OccAtomicObject final : public ObjectBase {
 
   [[nodiscard]] OccStorage storage() const { return storage_; }
 
+  [[nodiscard]] bool admission_blocks() const override { return false; }
+
   Value invoke(Transaction& txn, const Operation& op) override {
     txn.ensure_active();
     txn.touch(this);

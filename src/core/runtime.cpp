@@ -1,5 +1,6 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "common/errors.h"
@@ -15,16 +16,8 @@ Runtime::Runtime(RecorderMode mode, SchedMode sched_mode, WaitPolicy* policy,
   }
   if (sched_mode_ == SchedMode::kOs) wait_policy_ = nullptr;
   tm_.set_wait_policy(wait_policy_);
-  switch (mode_) {
-    case RecorderMode::kOff:
-      break;
-    case RecorderMode::kFlight:
-      flight_ =
-          std::make_unique<FlightRecorder>(tm_.clock(), recorder_options);
-      break;
-    case RecorderMode::kLegacyMutex:
-      legacy_ = std::make_unique<HistoryRecorder>();
-      break;
+  if (mode_ == RecorderMode::kFlight) {
+    flight_ = std::make_unique<FlightRecorder>(tm_.clock(), recorder_options);
   }
   register_collectors();
 }
@@ -64,15 +57,8 @@ void Runtime::set_executor_stats(
 }
 
 History Runtime::history() const {
-  switch (mode_) {
-    case RecorderMode::kOff:
-      return History{};  // explicitly empty: nothing was ever captured
-    case RecorderMode::kFlight:
-      return flight_->snapshot();
-    case RecorderMode::kLegacyMutex:
-      return legacy_->snapshot();
-  }
-  return History{};
+  // Explicitly empty with capture off: nothing was ever captured.
+  return flight_ ? flight_->snapshot() : History{};
 }
 
 AtomicitySentinel& Runtime::start_sentinel(SentinelOptions options) {
@@ -80,19 +66,6 @@ AtomicitySentinel& Runtime::start_sentinel(SentinelOptions options) {
     throw UsageError("start_sentinel requires RecorderMode::kFlight");
   }
   if (sentinel_) throw UsageError("sentinel already running");
-  // Runtime-level defaults fill any field the caller left at its
-  // built-in default.
-  const SentinelOptions builtin;
-  if (options.window == builtin.window) {
-    options.window = sentinel_defaults_.window;
-  }
-  if (options.checkpoint_threshold == builtin.checkpoint_threshold) {
-    options.checkpoint_threshold = sentinel_defaults_.checkpoint_threshold;
-  }
-  if (options.mode == builtin.mode) options.mode = sentinel_defaults_.mode;
-  if (!options.on_violation && sentinel_defaults_.on_violation) {
-    options.on_violation = sentinel_defaults_.on_violation;
-  }
   if (wait_policy_ != nullptr) options.wait_policy = wait_policy_;
   sentinel_ = std::make_unique<AtomicitySentinel>(
       *flight_, system_, [this] { return tm_.serialization_frontier(); },
@@ -187,10 +160,16 @@ void Runtime::register_collectors() {
     out.push_back({"argus_clock_cover_parks_total",
                    {},
                    double(tm_.clock().cover_parks())});
-    // Lock-mode machinery: under OCC/MVCC objects never block, the
-    // detector never runs, and emitting its zero would read as "deadlock
-    // freedom measured" when nothing was measured at all.
-    if (uses_blocking_admission(cc_mode())) {
+    // Lock-mode machinery: when every object is OCC/MVCC nothing ever
+    // blocks, the detector never runs, and emitting its zero would read
+    // as "deadlock freedom measured" when nothing was measured at all.
+    const bool any_blocking =
+        objects_.empty() ||
+        std::ranges::any_of(objects_, [](const auto& entry) {
+          auto base = std::dynamic_pointer_cast<ObjectBase>(entry.second);
+          return !base || base->admission_blocks();
+        });
+    if (any_blocking) {
       out.push_back({"argus_deadlocks_resolved_total",
                      {},
                      double(tm_.detector().deadlocks_resolved())});
@@ -225,7 +204,6 @@ void Runtime::register_collectors() {
                      "counter");
   metrics_->add_collector([this]() {
     std::vector<MetricSample> out;
-    const bool blocking = uses_blocking_admission(cc_mode());
     for (const auto& [id, obj] : objects_) {
       auto base = std::dynamic_pointer_cast<ObjectBase>(obj);
       if (!base) continue;
@@ -235,7 +213,7 @@ void Runtime::register_collectors() {
           {"argus_object_invocations_total", labels, double(c.invocations)});
       out.push_back({"argus_object_commits_total", labels, double(c.commits)});
       out.push_back({"argus_object_aborts_total", labels, double(c.aborts)});
-      if (!blocking) continue;  // wait series is lock-mode-only telemetry
+      if (!base->admission_blocks()) continue;  // lock-only telemetry
       out.push_back({"argus_object_waits_total", labels, double(c.waits)});
       out.push_back({"argus_object_wait_timeouts_total", labels,
                      double(c.wait_timeouts)});
@@ -327,9 +305,6 @@ void Runtime::register_collectors() {
           {"argus_recorder_dropped_total", {}, double(flight_->dropped())});
       out.push_back(
           {"argus_recorder_shards", {}, double(flight_->shard_count())});
-    } else if (legacy_) {
-      out.push_back(
-          {"argus_recorder_events_total", {}, double(legacy_->size())});
     }
     return out;
   });

@@ -15,9 +15,8 @@
 // Observability (see DESIGN.md "Observability"):
 //
 //   * Events are captured by a sharded FlightRecorder stamped from the
-//     manager's Lamport clock (RecorderMode::kFlight, the default); the
-//     seed's global-mutex HistoryRecorder remains available as
-//     kLegacyMutex for comparison, and kOff disables capture.
+//     manager's Lamport clock (RecorderMode::kFlight, the default); kOff
+//     disables capture.
 //   * metrics() is a MetricsRegistry pre-wired with collectors for the
 //     commit pipeline, clock/watermark, per-object counters, recorder
 //     and recovery — export with metrics().prometheus_text() / .json().
@@ -44,7 +43,6 @@
 #include <vector>
 
 #include "check/system.h"
-#include "core/cc_mode.h"
 #include "core/dynamic_object.h"
 #include "core/executor_stats.h"
 #include "fault/fault.h"
@@ -57,7 +55,6 @@
 #include "obs/metrics_registry.h"
 #include "obs/sentinel.h"
 #include "txn/manager.h"
-#include "txn/recorder.h"
 
 namespace argus {
 
@@ -74,12 +71,11 @@ enum class SchedMode {
 class Runtime {
  public:
   enum class RecorderMode {
-    kOff,          // no capture (objects get a null sink)
-    kFlight,       // sharded flight recorder (default)
-    kLegacyMutex,  // seed behaviour: one global mutex (HistoryRecorder)
+    kOff,     // no capture (objects get a null sink)
+    kFlight,  // sharded flight recorder (default)
   };
 
-  explicit Runtime(RecorderMode mode,
+  explicit Runtime(RecorderMode mode = RecorderMode::kFlight,
                    FlightRecorderOptions recorder_options = {})
       : Runtime(mode, SchedMode::kOs, nullptr, std::move(recorder_options)) {}
 
@@ -90,27 +86,13 @@ class Runtime {
   Runtime(RecorderMode mode, SchedMode sched_mode, WaitPolicy* policy,
           FlightRecorderOptions recorder_options = {});
 
-  /// Back-compat: `record_history` false maps to kOff, true to kFlight.
-  explicit Runtime(bool record_history = true)
-      : Runtime(record_history ? RecorderMode::kFlight : RecorderMode::kOff) {}
-
   ~Runtime();
 
   [[nodiscard]] TransactionManager& tm() { return tm_; }
 
   /// The sink protocol objects record through; nullptr iff capture is
   /// off.
-  [[nodiscard]] EventSink* recorder() {
-    switch (mode_) {
-      case RecorderMode::kOff:
-        return nullptr;
-      case RecorderMode::kFlight:
-        return flight_.get();
-      case RecorderMode::kLegacyMutex:
-        return legacy_.get();
-    }
-    return nullptr;
-  }
+  [[nodiscard]] EventSink* recorder() { return flight_.get(); }
 
   [[nodiscard]] RecorderMode recorder_mode() const { return mode_; }
   [[nodiscard]] SchedMode sched_mode() const { return sched_mode_; }
@@ -130,24 +112,16 @@ class Runtime {
 
   /// The runtime-wide metrics registry (commit pipeline, clock and
   /// watermark, per-object counters, recorder, recovery, sentinel).
+  /// The lock-only series follow the objects held: an OCC/MVCC object
+  /// never blocks, so its argus_object_wait*/deadlock_dooms series are
+  /// left out, and argus_deadlocks_resolved_total is left out when every
+  /// object held is one.
   [[nodiscard]] MetricsRegistry& metrics() { return *metrics_; }
 
   /// Starts the online atomicity sentinel over the flight recorder.
   /// Requires RecorderMode::kFlight; create objects first (the sentinel
   /// snapshots the system spec). Returns the running sentinel.
   AtomicitySentinel& start_sentinel(SentinelOptions options = {});
-
-  /// Runtime-level sentinel defaults: any SentinelOptions field left at
-  /// its built-in default in a later start_sentinel() call is filled
-  /// from here, making window, checkpoint_threshold and check mode
-  /// first-class runtime configuration (deploy-time policy) instead of
-  /// per-call-site arguments.
-  void set_sentinel_defaults(SentinelOptions defaults) {
-    sentinel_defaults_ = std::move(defaults);
-  }
-  [[nodiscard]] const SentinelOptions& sentinel_defaults() const {
-    return sentinel_defaults_;
-  }
 
   /// Stops and destroys the sentinel, if one is running (its final
   /// window flushes whatever the recorder still holds).
@@ -237,19 +211,6 @@ class Runtime {
   /// aborts+retries instead of stalling the run).
   void set_wait_timeout_all(std::chrono::milliseconds timeout);
 
-  /// The concurrency-control mode this runtime is driven under. Purely
-  /// informational for mixed-protocol runtimes (default kDynamic keeps
-  /// every metric live); under kOcc/kMvcc the lock-only telemetry —
-  /// argus_deadlocks_resolved_total and the argus_object_wait* series —
-  /// is suppressed, since those objects never block and the deadlock
-  /// detector never runs.
-  void set_cc_mode(CCMode mode) {
-    cc_mode_.store(mode, std::memory_order_release);
-  }
-  [[nodiscard]] CCMode cc_mode() const {
-    return cc_mode_.load(std::memory_order_acquire);
-  }
-
   /// Publishes a TxnExecutor's stats block to the argus_executor_*
   /// metrics (latest pool wins; nullptr detaches). The runtime keeps the
   /// shared_ptr so scrapes outliving the pool read its final values.
@@ -290,17 +251,14 @@ class Runtime {
   RecorderMode mode_;
   SchedMode sched_mode_{SchedMode::kOs};
   WaitPolicy* wait_policy_{nullptr};
-  std::atomic<CCMode> cc_mode_{CCMode::kDynamic};
   TransactionManager tm_;
   mutable std::mutex fault_mu_;  // guards fault_injector_ (scrapes race sets)
   std::shared_ptr<FaultInjector> fault_injector_;
   mutable std::mutex executor_mu_;  // guards executor_stats_ vs scrapes
   std::shared_ptr<const ExecutorStatsBlock> executor_stats_;
-  std::unique_ptr<FlightRecorder> flight_;   // kFlight mode
-  std::unique_ptr<HistoryRecorder> legacy_;  // kLegacyMutex mode
+  std::unique_ptr<FlightRecorder> flight_;  // kFlight mode
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<AtomicitySentinel> sentinel_;
-  SentinelOptions sentinel_defaults_;
   SystemSpec system_;
   std::string crash_dump_path_;
   std::size_t crash_dump_events_{4096};

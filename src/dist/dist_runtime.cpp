@@ -462,8 +462,7 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
   // the in-doubt record later (presumed abort for everything not
   // logged).
   tick_site_faults();
-  if (options_.durable_decisions &&
-      !decision_log_.force_decision(t.gid_, decision, t.participants())) {
+  if (!decision_log_.force_decision(t.gid_, decision, t.participants())) {
     // The decision force failed: nothing stable names the gid, so the
     // only safe outcome is a global abort — the coordinator must never
     // deliver a commit it could not remember.
@@ -529,7 +528,7 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
       part.delivered = true;
       ++delivered;
       mark_delivered_site(t, decision, idx);
-      if (options_.durable_decisions && send_message(FaultSite::kMsgAck)) {
+      if (send_message(FaultSite::kMsgAck)) {
         decision_log_.ack(t.gid_, idx);
       }
     } else if (s.up()) {
@@ -541,7 +540,7 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
       mark_delivered_site(t, decision, idx);
       // Its stable log now carries the promoted record, which is exactly
       // what an ack certifies.
-      if (options_.durable_decisions && send_message(FaultSite::kMsgAck)) {
+      if (send_message(FaultSite::kMsgAck)) {
         decision_log_.ack(t.gid_, idx);
       }
     } else {
@@ -559,7 +558,7 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     return;
   }
 
-  if (options_.durable_decisions) decision_log_.checkpoint();
+  decision_log_.checkpoint();
   two_pc_commits_.fetch_add(1, std::memory_order_relaxed);
   run_deferred_catchups();
 }
@@ -790,7 +789,7 @@ bool DistRuntime::recover(std::size_t site_index) {
         }
         // The promoted record in this site's stable log doubles as the
         // delivery ack the coordinator needs before truncating.
-        if (options_.durable_decisions && coordinator_up()) {
+        if (coordinator_up()) {
           decision_log_.ack(r.rec.txn, site_index);
         }
         promoted.emplace_back(std::move(r.rec), *r.decided);
@@ -900,9 +899,7 @@ bool DistRuntime::crash_coordinator() {
   coord_crashes_.fetch_add(1, std::memory_order_relaxed);
   {
     // The volatile commit list and the open-decision marker die with the
-    // coordinator; with durable_decisions the stable DecisionLog is the
-    // recovery source, without it the decisions are simply gone (the
-    // failure mode the log exists to close).
+    // coordinator; the stable DecisionLog is the recovery source.
     const std::scoped_lock lock(decisions_mu_);
     decisions_.clear();
     inflight_gid_.reset();
@@ -926,7 +923,7 @@ bool DistRuntime::recover_coordinator() {
   coord_recovers_.fetch_add(1, std::memory_order_relaxed);
   // Re-sync the ack table lost in the crash from the participants' own
   // stable logs, and truncate what every participant already has.
-  if (options_.durable_decisions) sync_acks_locked();
+  sync_acks_locked();
   return true;
 }
 
@@ -961,7 +958,7 @@ std::size_t DistRuntime::run_termination_protocol() {
   // participants' own stable logs, and fully-acknowledged decisions are
   // truncated — which is what lets drivers assert the decision log drains
   // once every site is up.
-  if (coordinator_up() && options_.durable_decisions) sync_acks_locked();
+  if (coordinator_up()) sync_acks_locked();
   return resolved;
 }
 

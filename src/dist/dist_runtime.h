@@ -121,12 +121,6 @@ struct DistOptions {
   /// Global transaction ids start here (clear of every site-local id
   /// space; rendered "t1000000", "t1000001", ... in traces).
   std::uint64_t gid_base{1000000};
-  /// Force 2PC decisions to the coordinator's DecisionLog before
-  /// delivery (replayed by recover_coordinator()). false = the PR 6
-  /// in-memory commit list, kept as E18's baseline; with it a
-  /// coordinator crash forgets every decision, so only enable
-  /// coordinator faults against the durable log.
-  bool durable_decisions{true};
   /// Cooperative termination: per in-doubt record, how many status-query
   /// rounds a participant attempts (spurious-timeout injection can waste
   /// a round) and the initial backoff, doubled per retry.
@@ -489,9 +483,9 @@ class DistRuntime {
   bool in_2pc_{false};  // guarded by catalog_mu_ (recover() reads it)
 
   mutable std::mutex decisions_mu_;
-  /// The volatile commit list (presumed abort) — now a cache over
-  /// decision_log_ when durable_decisions is on: lost at
-  /// crash_coordinator(), rebuilt by recover_coordinator().
+  /// The volatile commit list (presumed abort), a cache over
+  /// decision_log_: lost at crash_coordinator(), rebuilt by
+  /// recover_coordinator().
   std::map<ActivityId, Timestamp> decisions_;
   std::optional<ActivityId> inflight_gid_;     // guarded by decisions_mu_
 

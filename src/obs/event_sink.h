@@ -4,10 +4,8 @@
 // Protocol objects emit the paper's events (invoke/respond/commit/abort/
 // initiate) from inside the critical section where the event takes
 // effect, so whatever sits behind this interface observes a faithful
-// computation. Two implementations exist: the seed's global-mutex
-// HistoryRecorder (txn/recorder.h, kept as a reference and for tests that
-// want strict arrival-order capture) and the sharded FlightRecorder
-// (obs/flight_recorder.h), the production path.
+// computation. The implementation is the sharded FlightRecorder
+// (obs/flight_recorder.h).
 #pragma once
 
 #include "hist/event.h"

@@ -7,26 +7,25 @@
 //   * One shard per recording thread (bound thread-locally on first
 //     record). Each shard is an append-only buffer guarded by its own
 //     leaf mutex, so the common-case record() is an uncontended lock, a
-//     sequence draw, and a push — no cross-thread cache traffic. The
-//     seed's HistoryRecorder serialized every event of every thread on
-//     one global mutex, which made it a second commit lock; benchmarks
-//     had to disable it, so exactly the high-concurrency executions the
-//     checkers exist for were the ones that could not be observed.
+//     sequence draw, and a push — no cross-thread cache traffic. One
+//     global mutex over every event would be a second commit lock (E12
+//     measured it), so exactly the high-concurrency executions the
+//     checkers exist for would be the ones that could not be observed.
 //
 //   * Every event is stamped with a sequence drawn from the runtime's
 //     LamportClock — the same counter that issues commit and initiation
 //     timestamps. The draw happens inside the critical section in which
 //     the event takes effect, so sorting by sequence reconstructs a
-//     faithful observation of the computation (the same guarantee the
-//     global mutex gave), and event sequences are directly comparable
-//     with the timestamps embedded in the events themselves.
+//     faithful observation of the computation (the guarantee one
+//     global mutex would give), and event sequences are directly
+//     comparable with the timestamps embedded in the events themselves.
 //
 //   * snapshot() / drain_new() merge the shards in sequence order.
 //     snapshot() is non-destructive and returns the full retained
-//     History (HistoryRecorder-compatible, used by Runtime::history()
-//     and tests). drain_new() advances per-shard cursors and returns
-//     only events not yet drained — the incremental feed consumed by the
-//     atomicity sentinel (obs/sentinel.h). The two coexist. In unbounded
+//     History (used by Runtime::history() and tests). drain_new()
+//     advances per-shard cursors and returns only events not yet
+//     drained — the incremental feed consumed by the atomicity sentinel
+//     (obs/sentinel.h). The two coexist. In unbounded
 //     mode a drain copies nothing: it hands out pointers into the shards'
 //     chunks, which never move, so they stay valid until clear() (which
 //     must therefore not run while a sentinel is attached).

@@ -32,22 +32,6 @@ std::optional<Protocol> protocol_from_string(const std::string& name) {
   return std::nullopt;
 }
 
-Protocol to_protocol(CCMode mode) {
-  switch (mode) {
-    case CCMode::kDynamic:
-      return Protocol::kDynamic;
-    case CCMode::kStatic:
-      return Protocol::kStatic;
-    case CCMode::kHybrid:
-      return Protocol::kHybrid;
-    case CCMode::kOcc:
-      return Protocol::kOcc;
-    case CCMode::kMvcc:
-      return Protocol::kMvcc;
-  }
-  throw UsageError("unknown cc mode");
-}
-
 bool supports_snapshot_reads(Protocol p) {
   return p == Protocol::kHybrid || p == Protocol::kStatic ||
          p == Protocol::kMvcc;

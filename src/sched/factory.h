@@ -1,4 +1,4 @@
-// Uniform object construction across all six protocols, so workloads and
+// Uniform object construction across every protocol, so workloads and
 // benchmarks can sweep "same ADT, same workload, different concurrency
 // control" — the comparison structure of every experiment in
 // EXPERIMENTS.md.
@@ -28,9 +28,6 @@ enum class Protocol {
 [[nodiscard]] std::string to_string(Protocol p);
 [[nodiscard]] std::optional<Protocol> protocol_from_string(
     const std::string& name);
-
-/// The protocol a CCMode drives objects under (the executor's dispatch).
-[[nodiscard]] Protocol to_protocol(CCMode mode);
 
 /// Creates an object of the given ADT under the given protocol, registers
 /// it (and its spec) with the runtime, and returns it.
@@ -66,16 +63,6 @@ std::shared_ptr<ManagedObject> make_object(Runtime& rt, Protocol protocol,
       return rt.create_mvcc<A>(name);
   }
   throw UsageError("unknown protocol");
-}
-
-/// Mode-parameterized construction for the TxnExecutor's CC-mode sweep:
-/// creates the object under to_protocol(mode) and stamps the runtime
-/// with the mode (gating the lock-only telemetry under OCC/MVCC).
-template <AdtTraits A>
-std::shared_ptr<ManagedObject> make_mode_object(Runtime& rt, CCMode mode,
-                                                const std::string& name) {
-  rt.set_cc_mode(mode);
-  return make_object<A>(rt, to_protocol(mode), name);
 }
 
 /// Does this protocol give read-only transactions a timestamp snapshot

@@ -28,12 +28,6 @@ std::shared_ptr<Transaction> TransactionManager::begin(TxnKind kind) {
   if (WaitPolicy* policy = wait_policy()) {
     policy->yield(LaneHint{WaitPoint::kTxnBegin});
   }
-  if (commit_mode() == CommitMode::kSingleMutex) {
-    const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
-    const std::scoped_lock commit_lock(commit_mu_);
-    const auto lock = adaptive_lock(mu_);
-    return begin_locked(id, kind, std::nullopt);
-  }
   if (kind == TxnKind::kReadOnly) {
     // Pin the snapshot to the watermark: the begin returns only once
     // every commit below the drawn timestamp has fully applied.
@@ -46,12 +40,6 @@ std::shared_ptr<Transaction> TransactionManager::begin(TxnKind kind) {
 
 std::shared_ptr<Transaction> TransactionManager::begin_with_timestamp(
     TxnKind kind, Timestamp start_ts) {
-  if (commit_mode() == CommitMode::kSingleMutex) {
-    const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
-    const std::scoped_lock commit_lock(commit_mu_);
-    const auto lock = adaptive_lock(mu_);
-    return begin_locked(id, kind, start_ts);
-  }
   if (kind == TxnKind::kReadOnly) return begin_read_only(std::nullopt, start_ts);
   const ActivityId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
   const auto lock = adaptive_lock(mu_);
@@ -233,7 +221,7 @@ void TransactionManager::commit(const std::shared_ptr<Transaction>& t) {
   const std::vector<ManagedObject*> objects = t->touched();
 
   // Stage 1: validate. An object may veto by throwing. Runs without any
-  // global lock in both modes.
+  // global lock.
   const auto validate_start = SteadyClock::now();
   try {
     for (ManagedObject* o : objects) o->prepare(*t);
@@ -245,11 +233,7 @@ void TransactionManager::commit(const std::shared_ptr<Transaction>& t) {
       micros_between(validate_start, SteadyClock::now()),
       std::memory_order_relaxed);
 
-  if (commit_mode() == CommitMode::kSingleMutex) {
-    commit_single_mutex(t, objects);
-  } else {
-    commit_pipelined(t, objects);
-  }
+  commit_pipelined(t, objects);
 
   finish_commit_bookkeeping(t, objects);
 }
@@ -293,37 +277,6 @@ CommitLogRecord TransactionManager::build_record(
     record.entries.push_back(std::move(entry));
   }
   return record;
-}
-
-void TransactionManager::commit_single_mutex(
-    const std::shared_ptr<Transaction>& t,
-    const std::vector<ManagedObject*>& objects) {
-  // Seed behaviour: timestamp draw, log force, and apply all inside one
-  // global critical section.
-  const std::scoped_lock lock(commit_mu_);
-  if (t->doomed()) {
-    const AbortReason reason = t->doom_reason();
-    finish_abort(t, reason);
-    throw TransactionAborted(t->id(), reason);
-  }
-  // Serial validation (OCC/MVCC): commit_mu_ is the serialization point
-  // in this mode — no other commit is in flight, so validate-at-commit
-  // runs race-free here. Default objects no-op.
-  try {
-    for (ManagedObject* o : objects) o->validate_serial(*t);
-  } catch (const TransactionAborted& e) {
-    finish_abort(t, e.reason());
-    throw;
-  }
-  // In flight until applied, like a pipelined commit, so the
-  // serialization frontier stays below this key until the commit events
-  // are recorded.
-  const Timestamp ts = clock_.begin_commit();
-  const auto retire = on_scope_exit([&] { clock_.finish_commit(ts); });
-  t->set_commit_ts(ts);
-  log_.append(build_record(*t, objects, ts));  // write-ahead
-  for (ManagedObject* o : objects) o->commit(*t, ts);
-  t->set_state(TxnState::kCommitted);
 }
 
 void TransactionManager::commit_pipelined(
@@ -410,7 +363,7 @@ void TransactionManager::commit_pipelined(
   // Stage 4: apply + publish. Objects apply in commit-timestamp order —
   // each committer waits for every earlier in-flight commit to retire, so
   // per-object committed logs stay timestamp-sorted and queue-style
-  // applies see the same order the single-mutex path produced. Retiring
+  // applies see commits in timestamp order. Retiring
   // advances the visibility watermark, which publishes the commit to
   // read-only begins.
   const auto apply_start = SteadyClock::now();
@@ -504,15 +457,7 @@ CommitPipelineStats TransactionManager::pipeline_stats() const {
 
 void TransactionManager::doom_all_active(AbortReason reason) {
   std::vector<std::shared_ptr<Transaction>> doomed;
-  if (commit_mode() == CommitMode::kSingleMutex) {
-    // Seed semantics: serialize against in-flight commits, so each
-    // transaction either committed fully or is doomed.
-    const std::scoped_lock commit_lock(commit_mu_);
-    const auto lock = adaptive_lock(mu_);
-    for (auto& [id, entry] : active_) {
-      if (auto t = entry.txn.lock()) doomed.push_back(std::move(t));
-    }
-  } else {
+  {
     const auto lock = adaptive_lock(mu_);
     for (auto& [id, entry] : active_) {
       if (auto t = entry.txn.lock()) doomed.push_back(std::move(t));

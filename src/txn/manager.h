@@ -1,8 +1,7 @@
 // TransactionManager: begins transactions, assigns timestamps, and drives
 // commit and abort across the objects a transaction touched.
 //
-// The commit path is a staged pipeline (CommitMode::kPipelined, the
-// default):
+// The commit path is a staged pipeline:
 //
 //   1. validate   — prepare() at every touched object; runs fully in
 //                   parallel with other committers.
@@ -28,10 +27,6 @@
 // manager's own mutex, in the critical section that registers the
 // transaction, so the serialization frontier (serialization_frontier())
 // never passes a start timestamp that is about to become a key.
-//
-// CommitMode::kSingleMutex preserves the seed behaviour — every commit
-// (and every begin) serialized under one mutex — as a baseline for
-// bench_commit_pipeline and as a reference implementation.
 #pragma once
 
 #include <atomic>
@@ -60,11 +55,6 @@ struct TxnStats {
   std::uint64_t committed{0};
   std::uint64_t aborted{0};
   std::map<AbortReason, std::uint64_t> aborted_by_reason;
-};
-
-enum class CommitMode {
-  kSingleMutex,  // seed behaviour: one global mutex around phase 2
-  kPipelined,    // staged pipeline (default)
 };
 
 /// Cumulative commit-pipeline observability: per-stage time, group-commit
@@ -102,7 +92,7 @@ class TransactionManager {
   /// in the same critical section that registers them; read-only
   /// transactions register theirs first and then wait
   /// until the visibility watermark covers the drawn timestamp (see file
-  /// comment). In kSingleMutex mode every begin serializes with commits.
+  /// comment).
   std::shared_ptr<Transaction> begin(TxnKind kind = TxnKind::kUpdate);
 
   /// Starts a transaction with a caller-chosen start timestamp (used by
@@ -167,10 +157,10 @@ class TransactionManager {
   /// record. Site recovery resolves it against the coordinator.
   void detach_prepared(const std::shared_ptr<Transaction>& t);
 
-  /// Commits across all touched objects via the staged pipeline (or the
-  /// single-mutex path, per commit_mode). Throws TransactionAborted
-  /// (after performing the abort) if the transaction was doomed, an
-  /// object vetoed in prepare, or a crash discarded its log record.
+  /// Commits across all touched objects via the staged pipeline. Throws
+  /// TransactionAborted (after performing the abort) if the transaction
+  /// was doomed, an object vetoed in prepare, or a crash discarded its
+  /// log record.
   void commit(const std::shared_ptr<Transaction>& t);
 
   /// Commits a read-only transaction without the pipeline: a hybrid
@@ -188,13 +178,6 @@ class TransactionManager {
   /// Aborts at every touched object. Idempotent on finished transactions.
   void abort(const std::shared_ptr<Transaction>& t,
              AbortReason reason = AbortReason::kUser);
-
-  void set_commit_mode(CommitMode mode) {
-    mode_.store(mode, std::memory_order_release);
-  }
-  [[nodiscard]] CommitMode commit_mode() const {
-    return mode_.load(std::memory_order_acquire);
-  }
 
   [[nodiscard]] LamportClock& clock() { return clock_; }
   [[nodiscard]] DeadlockDetector& detector() { return detector_; }
@@ -254,8 +237,6 @@ class TransactionManager {
   active_transactions() const;
 
  private:
-  void commit_single_mutex(const std::shared_ptr<Transaction>& t,
-                           const std::vector<ManagedObject*>& objects);
   void commit_pipelined(const std::shared_ptr<Transaction>& t,
                         const std::vector<ManagedObject*>& objects);
   CommitLogRecord build_record(const Transaction& t,
@@ -269,19 +250,17 @@ class TransactionManager {
   /// Throws UsageError if `id` is already active.
   std::shared_ptr<Transaction> begin_locked(
       ActivityId id, TxnKind kind, std::optional<Timestamp> start_ts);
-  /// A pipelined read-only begin: registers the start timestamp in
+  /// A read-only begin: registers the start timestamp in
   /// beginning_, waits for watermark coverage, then moves it to active_.
   std::shared_ptr<Transaction> begin_read_only(
       std::optional<ActivityId> id, std::optional<Timestamp> start_ts);
 
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<CommitMode> mode_{CommitMode::kPipelined};
   std::atomic<FaultInjector*> fault_{nullptr};
   std::atomic<WaitPolicy*> wait_policy_{nullptr};
   LamportClock clock_;
   DeadlockDetector detector_;
   StableLog log_;
-  std::mutex commit_mu_;  // kSingleMutex mode only
 
   // Pipeline stage counters (cumulative microseconds).
   std::atomic<std::uint64_t> pipelined_commits_{0};

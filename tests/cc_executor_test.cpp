@@ -12,7 +12,8 @@
 //     after exactly max_retries+1 attempts and leaves the runtime
 //     healthy;
 //   * telemetry gating — lock-mode-only series (deadlocks resolved,
-//     object waits) disappear under OCC/MVCC; argus_executor_* appears
+//     object waits) follow the objects: absent for OCC/MVCC objects,
+//     present for any object that can block; argus_executor_* appears
 //     once a pool has run.
 #include <gtest/gtest.h>
 
@@ -43,7 +44,7 @@ ExecutorOptions pool_of(int workers) {
 // The pool
 
 TEST(TxnExecutor, RunsEverySubmittedTaskAndStatsAddUp) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
 
   ExecutorOptions options;
@@ -78,7 +79,7 @@ TEST(TxnExecutor, RunsEverySubmittedTaskAndStatsAddUp) {
 }
 
 TEST(TxnExecutor, CompletionCallbackSeesEveryOutcome) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
   std::atomic<int> outcomes{0};
   std::atomic<int> committed{0};
@@ -102,7 +103,7 @@ TEST(TxnExecutor, CompletionCallbackSeesEveryOutcome) {
 }
 
 TEST(TxnExecutor, RejectsAnEmptyPool) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   EXPECT_THROW(TxnExecutor(rt, pool_of(0)), UsageError);
 }
 
@@ -110,8 +111,7 @@ TEST(TxnExecutor, RejectsAnEmptyPool) {
 // OCC: never block, validate at commit, first committer wins
 
 TEST(OccObject, InvocationsNeverBlockOnConcurrentWriters) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt;
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   auto a = rt.begin();
@@ -132,8 +132,7 @@ TEST(OccObject, InvocationsNeverBlockOnConcurrentWriters) {
 }
 
 TEST(OccObject, FirstCommitterWinsUnderWriteWriteRaces) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt;
   auto x = rt.create_occ<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -164,8 +163,7 @@ TEST(OccObject, FirstCommitterWinsUnderWriteWriteRaces) {
 }
 
 TEST(OccObject, NonConflictingCommitsBothSucceed) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt;
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   // Two blind deposits: replay-based validation accepts the loser too,
@@ -181,8 +179,7 @@ TEST(OccObject, NonConflictingCommitsBothSucceed) {
 }
 
 TEST(OccObject, HistoryIsHybridAtomic) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt;
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   auto a = rt.begin();
@@ -206,8 +203,7 @@ TEST(OccObject, HistoryIsHybridAtomic) {
 // MVCC: snapshot reads
 
 TEST(MvccObject, ReadOnlySnapshotPreventsStaleAndTornReads) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt;
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -244,8 +240,7 @@ TEST(MvccObject, ReadOnlySnapshotPreventsStaleAndTornReads) {
 }
 
 TEST(MvccObject, ReadOnlyRejectsMutators) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   auto reader = rt.begin_read_only();
   EXPECT_THROW(x->invoke(*reader, account::deposit(1)), UsageError);
@@ -253,8 +248,7 @@ TEST(MvccObject, ReadOnlyRejectsMutators) {
 }
 
 TEST(MvccObject, UpdatesStillValidateLikeOcc) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -271,8 +265,7 @@ TEST(MvccObject, UpdatesStillValidateLikeOcc) {
 }
 
 TEST(MvccObject, SnapshotReadersLeaveNoBookkeeping) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   for (int i = 0; i < 1000; ++i) {
     if (i % 50 == 0) {
@@ -293,8 +286,7 @@ TEST(MvccObject, SnapshotReadersLeaveNoBookkeeping) {
 }
 
 TEST(MvccObject, SnapshotsSurviveRepeatedRecovery) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   std::vector<std::shared_ptr<OccAtomicObject<BankAccountAdt>>> accounts;
   for (int i = 0; i < 3; ++i) {
     accounts.push_back(
@@ -336,8 +328,7 @@ TEST(MvccObject, SnapshotsSurviveRepeatedRecovery) {
 // Retry exhaustion
 
 TEST(TxnExecutor, RetryExhaustionGivesUpCleanly) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   ExecutorOptions options;
@@ -376,8 +367,7 @@ TEST(TxnExecutor, RetryExhaustionGivesUpCleanly) {
 }
 
 TEST(TxnExecutor, CountsValidationAbortsAcrossRetries) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_occ<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -414,11 +404,10 @@ TEST(TxnExecutor, CountsValidationAbortsAcrossRetries) {
 // Telemetry gating
 
 TEST(CCModeMetrics, LockModeSeriesSuppressedUnderOccAndMvcc) {
-  for (CCMode mode : {CCMode::kOcc, CCMode::kMvcc}) {
-    Runtime rt(/*record_history=*/false);
-    rt.set_cc_mode(mode);
-    auto x = mode == CCMode::kOcc ? rt.create_occ<BankAccountAdt>("x")
-                                  : rt.create_mvcc<BankAccountAdt>("x");
+  for (Protocol mode : {Protocol::kOcc, Protocol::kMvcc}) {
+    Runtime rt(Runtime::RecorderMode::kOff);
+    auto x = mode == Protocol::kOcc ? rt.create_occ<BankAccountAdt>("x")
+                                    : rt.create_mvcc<BankAccountAdt>("x");
     TxnExecutor pool(rt, pool_of(2));
     for (int i = 0; i < 8; ++i) {
       pool.submit({"d", TxnKind::kUpdate,
@@ -444,7 +433,7 @@ TEST(CCModeMetrics, LockModeSeriesSuppressedUnderOccAndMvcc) {
 }
 
 TEST(CCModeMetrics, LockModeSeriesStayLiveUnderBlockingModes) {
-  Runtime rt(/*record_history=*/false);  // default CCMode::kDynamic
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_dynamic<BankAccountAdt>("x");
   auto t = rt.begin();
   x->invoke(*t, account::deposit(1));
@@ -452,6 +441,37 @@ TEST(CCModeMetrics, LockModeSeriesStayLiveUnderBlockingModes) {
   const std::string text = rt.metrics().prometheus_text();
   EXPECT_NE(text.find("argus_deadlocks_resolved_total"), std::string::npos);
   EXPECT_NE(text.find("argus_object_waits_total"), std::string::npos);
+}
+
+TEST(CCModeMetrics, MixedRuntimeGatesPerObject) {
+  // One blocking object keeps the detector's counter live; the wait
+  // series is emitted for the objects that can wait and for no other.
+  Runtime rt(Runtime::RecorderMode::kOff);
+  auto occ = rt.create_occ<BankAccountAdt>("opt");
+  auto dyn = rt.create_dynamic<BankAccountAdt>("dyn");
+  auto t = rt.begin();
+  occ->invoke(*t, account::deposit(1));
+  dyn->invoke(*t, account::deposit(1));
+  rt.commit(t);
+  const std::string text = rt.metrics().prometheus_text();
+  EXPECT_NE(text.find("argus_deadlocks_resolved_total"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("argus_object_waits_total{object=\"dyn\"}"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("argus_object_deadlock_dooms_total{object=\"dyn\"}"),
+            std::string::npos)
+      << text;
+  for (const char* series :
+       {"argus_object_waits_total{object=\"opt\"}",
+        "argus_object_wait_timeouts_total{object=\"opt\"}",
+        "argus_object_deadlock_dooms_total{object=\"opt\"}"}) {
+    EXPECT_EQ(text.find(series), std::string::npos) << series << "\n" << text;
+  }
+  // The OCC object's other series are still there.
+  EXPECT_NE(text.find("argus_object_commits_total{object=\"opt\"} 1"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

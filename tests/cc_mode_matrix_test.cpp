@@ -1,6 +1,6 @@
 // The CC-mode executor tier (ctest -L ccmodes), part 2: the matrix.
-// Every CCMode drives the same seeded workloads through the same
-// TxnExecutor pool, and every run is held to the same bar:
+// Every executor protocol drives the same seeded workloads through the
+// same TxnExecutor pool, and every run is held to the same bar:
 //
 //   * money conservation over concurrent transfers (no partial commits);
 //   * a recorded run certifies against the mode's formal atomicity
@@ -23,7 +23,13 @@
 namespace argus {
 namespace {
 
-std::string param_name(CCMode m) {
+// The five protocols the executor sweeps: the paper's three local
+// atomicity properties and the two optimistic foils.
+constexpr Protocol kExecutorProtocols[] = {
+    Protocol::kDynamic, Protocol::kStatic, Protocol::kHybrid, Protocol::kOcc,
+    Protocol::kMvcc};
+
+std::string param_name(Protocol m) {
   std::string name = to_string(m);
   for (char& c : name) {
     if (c == '-') c = '_';
@@ -35,14 +41,12 @@ constexpr std::int64_t kAccounts = 4;
 constexpr std::int64_t kInitialBalance = 100;
 constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
 
-class CCModeMatrix : public ::testing::TestWithParam<CCMode> {};
+class CCModeMatrix : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(CCModeMatrix, MoneyConservedThroughTheExecutor) {
-  const CCMode mode = GetParam();
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(mode);
-  auto bank =
-      BankScenario::create(rt, to_protocol(mode), kAccounts, kInitialBalance);
+  const Protocol mode = GetParam();
+  Runtime rt(Runtime::RecorderMode::kOff);
+  auto bank = BankScenario::create(rt, mode, kAccounts, kInitialBalance);
   rt.set_wait_timeout_all(std::chrono::milliseconds(1000));
 
   WorkloadOptions options;
@@ -56,9 +60,8 @@ TEST_P(CCModeMatrix, MoneyConservedThroughTheExecutor) {
   EXPECT_EQ(result.gave_up, 0u);
   EXPECT_EQ(result.executor.submitted, 160u);
   EXPECT_EQ(result.executor.completed, 160u);
-  EXPECT_EQ(bank.total_balance(rt, mode_supports_snapshot_reads(mode)),
-            kTotal);
-  if (!uses_blocking_admission(mode)) {
+  EXPECT_EQ(bank.total_balance(rt, supports_snapshot_reads(mode)), kTotal);
+  if (mode == Protocol::kOcc || mode == Protocol::kMvcc) {
     // Optimistic modes never deadlock — their objects never block.
     EXPECT_EQ(result.deadlocks, 0u);
     EXPECT_EQ(result.aborts_by_reason.count(AbortReason::kDeadlock), 0u);
@@ -67,11 +70,9 @@ TEST_P(CCModeMatrix, MoneyConservedThroughTheExecutor) {
 }
 
 TEST_P(CCModeMatrix, RecordedRunCertifiesAgainstTheModeProperty) {
-  const CCMode mode = GetParam();
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(mode);
-  auto bank = BankScenario::create(rt, to_protocol(mode), /*n=*/3,
-                                   kInitialBalance);
+  const Protocol mode = GetParam();
+  Runtime rt;
+  auto bank = BankScenario::create(rt, mode, /*n=*/3, kInitialBalance);
   rt.set_wait_timeout_all(std::chrono::milliseconds(1000));
   AtomicitySentinel& sentinel = rt.start_sentinel();
 
@@ -92,21 +93,19 @@ TEST_P(CCModeMatrix, RecordedRunCertifiesAgainstTheModeProperty) {
 
   const History h = rt.history();
   Certifier cert;
-  const auto verdict =
-      cert.check_history(to_protocol(mode), rt.system(), h, {});
+  const auto verdict = cert.check_history(mode, rt.system(), h, {});
   ASSERT_TRUE(verdict.well_formed) << cert.failure() << "\n" << h.to_string();
   EXPECT_TRUE(verdict.atomic) << cert.failure() << "\n" << h.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, CCModeMatrix,
-                         ::testing::ValuesIn(all_cc_modes()),
+                         ::testing::ValuesIn(kExecutorProtocols),
                          [](const auto& info) {
                            return param_name(info.param);
                          });
 
 TEST(MvccWorkload, ReadOnlyAuditsAreAbortFreeAndConsistent) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kMvcc, kAccounts,
                                    kInitialBalance);
 
@@ -144,8 +143,7 @@ TEST(OccWorkload, HighContentionStaysLiveAndConserved) {
   // optimism, since every commit invalidates every in-flight balance
   // read. The pool must stay live (retry budget never exhausted) and
   // the final state must account for every committed increment.
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_occ<BankAccountAdt>("hot");
 
   MixItem rmw{"rmw", TxnKind::kUpdate, 1,

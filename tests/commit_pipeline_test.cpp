@@ -44,7 +44,7 @@ std::int64_t committed_below(const std::vector<CommitLogRecord>& records,
 }
 
 TEST(CommitPipeline, ReadOnlyScannersSeeExactlyTheCommittedPrefix) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
   rt.set_wait_timeout_all(std::chrono::milliseconds(500));
 
@@ -139,7 +139,7 @@ TEST(CommitPipeline, ConcurrentHistoryIsHybridAtomic) {
 }
 
 TEST(CommitPipeline, CrashDuringGroupCommitBatchLosesOnlyUnforcedRecords) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
 
   // Two transactions force normally and must survive.
@@ -191,7 +191,7 @@ TEST(CommitPipeline, CrashDuringGroupCommitBatchLosesOnlyUnforcedRecords) {
 }
 
 TEST(CommitPipeline, CommitTimestampsStayMonotoneAndLogStaysSorted) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
   auto worker = [&] {
     for (int i = 0; i < 200; ++i) {
@@ -218,7 +218,7 @@ TEST(CommitPipeline, CommitTimestampsStayMonotoneAndLogStaysSorted) {
 }
 
 TEST(CommitPipeline, PipelineStatsAreObservable) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
   auto worker = [&] {
     for (int i = 0; i < 50; ++i) {
@@ -240,35 +240,31 @@ TEST(CommitPipeline, PipelineStatsAreObservable) {
   EXPECT_GE(stats.clock_now, stats.watermark);
 }
 
-TEST(CommitPipeline, SingleMutexModeMatchesPipelinedSemantics) {
-  for (const CommitMode mode :
-       {CommitMode::kSingleMutex, CommitMode::kPipelined}) {
-    Runtime rt(/*record_history=*/false);
-    rt.tm().set_commit_mode(mode);
-    auto account = rt.create_hybrid<BankAccountAdt>("a");
-    auto worker = [&] {
-      for (int i = 0; i < 50; ++i) {
-        auto t = rt.begin();
-        try {
-          account->invoke(*t, account::deposit(2));
-          rt.commit(t);
-        } catch (const TransactionAborted&) {
-          rt.abort(t);
-        }
+TEST(CommitPipeline, ConcurrentCommitsSurviveCrashAndRecover) {
+  Runtime rt(Runtime::RecorderMode::kOff);
+  auto account = rt.create_hybrid<BankAccountAdt>("a");
+  auto worker = [&] {
+    for (int i = 0; i < 50; ++i) {
+      auto t = rt.begin();
+      try {
+        account->invoke(*t, account::deposit(2));
+        rt.commit(t);
+      } catch (const TransactionAborted&) {
+        rt.abort(t);
       }
-    };
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 3; ++i) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 3; ++i) threads.emplace_back(worker);
+  for (auto& t : threads) t.join();
 
-    const std::uint64_t committed = rt.tm().stats().committed;
-    EXPECT_EQ(account->committed_state(),
-              static_cast<std::int64_t>(2 * committed));
-    rt.crash();
-    rt.recover();
-    EXPECT_EQ(account->committed_state(),
-              static_cast<std::int64_t>(2 * committed));
-  }
+  const std::uint64_t committed = rt.tm().stats().committed;
+  EXPECT_EQ(account->committed_state(),
+            static_cast<std::int64_t>(2 * committed));
+  rt.crash();
+  rt.recover();
+  EXPECT_EQ(account->committed_state(),
+            static_cast<std::int64_t>(2 * committed));
 }
 
 // ---------------------------------------------------------------------------
@@ -429,7 +425,7 @@ TEST(ClockStress, OnlyWaitsThatParkAreCounted) {
   EXPECT_EQ(clock.cover_parks(), 1U);
   EXPECT_EQ(clock.turn_parks(), 1U);
 
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   const std::string text = rt.metrics().prometheus_text();
   EXPECT_NE(text.find("argus_clock_turn_parks_total 0"), std::string::npos);
   EXPECT_NE(text.find("argus_clock_cover_parks_total 0"), std::string::npos);

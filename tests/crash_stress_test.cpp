@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CrashStress, RepeatedCrashRecoverCyclesUnderLoad) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
   {
     auto setup = rt.begin();

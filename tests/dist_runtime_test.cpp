@@ -562,27 +562,6 @@ TEST(DistRuntime, CheckpointTruncatesOnceEveryParticipantAcknowledges) {
   certify_merged(dist);
 }
 
-TEST(DistRuntime, InMemoryBaselineLogsNothing) {
-  // durable_decisions=false is E18's baseline: the PR 6 in-memory commit
-  // list, no decision-log forces at all.
-  DistOptions options;
-  options.sites = 2;
-  options.protocol = Protocol::kHybrid;
-  options.durable_decisions = false;
-  DistRuntime dist(options);
-  dist.create_sharded<BankAccountAdt>("s0");
-  dist.create_sharded<BankAccountAdt>("s1");
-  {
-    const auto t = dist.begin();
-    dist.write(*t, "s0", account::deposit(100));
-    dist.write(*t, "s1", account::deposit(100));
-    dist.commit(t);
-  }
-  EXPECT_EQ(dist.stats().decisions_logged, 0u);
-  EXPECT_EQ(dist.decision_log().outstanding(), 0u);
-  EXPECT_EQ(read_balance(dist, "s0"), 100);
-}
-
 TEST(DistRuntime, LostPrepareMessagesVetoCleanly) {
   // Every message is lost and the budget covers exactly one site's
   // prepare attempts: phase 1 cannot deliver prepare, so the 2PC vetoes

@@ -314,7 +314,7 @@ TEST(HybridQueue, HistoryHybridAtomic) {
 // Read-only bookkeeping and recovery of the snapshot log
 
 TEST(HybridObject, ReadOnlyBookkeepingDrainsAfterAudits) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_hybrid<BankAccountAdt>("a");
   auto q = rt.create_hybrid_queue("q");
   auto b = rt.create_hybrid_bag("b");
@@ -357,7 +357,7 @@ std::vector<std::int64_t> audit_balances(
 }
 
 TEST(HybridObject, SnapshotsSurviveRepeatedRecovery) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   std::vector<std::shared_ptr<HybridAtomicObject<BankAccountAdt>>> accounts;
   for (int i = 0; i < 4; ++i) {
     accounts.push_back(

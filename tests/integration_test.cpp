@@ -31,7 +31,7 @@ constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
 class TransferWorkload : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(TransferWorkload, MoneyConserved) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, GetParam(), kAccounts, kInitialBalance);
 
   WorkloadOptions options;
@@ -49,7 +49,7 @@ TEST_P(TransferWorkload, MoneyConserved) {
 
 TEST_P(TransferWorkload, AuditsSeeConsistentTotals) {
   const Protocol protocol = GetParam();
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, protocol, kAccounts, kInitialBalance);
 
   std::atomic<std::uint64_t> inconsistent_audits{0};
@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, TransferWorkload,
 class QueueWorkload : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(QueueWorkload, ItemsConserved) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = QueueScenario::create(rt, GetParam());
 
   // Pre-fill generously so consumers never block on an empty queue after
@@ -148,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(LockingProtocols, QueueWorkload,
                          });
 
 TEST(QueueWorkloadHybrid, ExactConservation) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = QueueScenario::create(rt, Protocol::kHybrid);
 
   // Deterministic single-producer multi-consumer run with exact
@@ -198,13 +198,13 @@ TEST(QueueWorkloadHybrid, ExactConservation) {
 }
 
 TEST(WorkloadDriver, EmptyMixRejected) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   WorkloadDriver driver(rt, WorkloadOptions{});
   EXPECT_THROW((void)driver.run({}), UsageError);
 }
 
 TEST(WorkloadDriver, MetricsPopulated) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kDynamic, 2, 50);
   WorkloadOptions options;
   options.threads = 2;

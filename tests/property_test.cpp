@@ -47,7 +47,7 @@ template <AdtTraits A>
 RunResult run_property_workload(Protocol protocol, const std::string& adt,
                                 std::uint64_t seed,
                                 bool with_faults = false) {
-  Runtime rt(/*record_history=*/true);
+  Runtime rt;
   auto obj = make_object<A>(rt, protocol, "x");
   if (auto base = std::dynamic_pointer_cast<ObjectBase>(obj)) {
     base->set_wait_timeout(std::chrono::milliseconds(1000));
@@ -205,7 +205,7 @@ class HybridQueueProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HybridQueueProperty, HistoriesAreHybridAtomic) {
   const std::uint64_t seed = GetParam();
-  Runtime rt(/*record_history=*/true);
+  Runtime rt;
   auto q = rt.create_hybrid_queue("q");
   q->set_wait_timeout(std::chrono::milliseconds(500));
 
@@ -271,7 +271,7 @@ class RecoveryProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RecoveryProperty, RecoveredStateMatchesCommittedLog) {
   const std::uint64_t seed = GetParam();
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
 
   SplitMix64 rng(seed);

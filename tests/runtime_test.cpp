@@ -41,7 +41,7 @@ TEST(Runtime, SystemSpecMirrorsObjects) {
 }
 
 TEST(Runtime, RecordingDisabledYieldsEmptyHistory) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   EXPECT_EQ(rt.recorder(), nullptr);
   EXPECT_FALSE(rt.recording());
   EXPECT_EQ(rt.recorder_mode(), Runtime::RecorderMode::kOff);
@@ -63,15 +63,21 @@ TEST(Runtime, RecorderModesSelectSink) {
   EXPECT_NE(flight.flight_recorder(), nullptr);
   EXPECT_EQ(flight.recorder(), flight.flight_recorder());
 
-  Runtime legacy(Runtime::RecorderMode::kLegacyMutex);
-  EXPECT_TRUE(legacy.recording());
-  EXPECT_NE(legacy.recorder(), nullptr);
-  EXPECT_EQ(legacy.flight_recorder(), nullptr);
-  auto set = legacy.create_dynamic<IntSetAdt>("s");
-  auto t = legacy.begin();
+  auto flight_set = flight.create_dynamic<IntSetAdt>("s");
+  auto ft = flight.begin();
+  flight_set->invoke(*ft, intset::insert(1));
+  flight.commit(ft);
+  EXPECT_EQ(flight.history().size(), 3u);
+
+  Runtime off(Runtime::RecorderMode::kOff);
+  EXPECT_FALSE(off.recording());
+  EXPECT_EQ(off.recorder(), nullptr);
+  EXPECT_EQ(off.flight_recorder(), nullptr);
+  auto set = off.create_dynamic<IntSetAdt>("s");
+  auto t = off.begin();
   set->invoke(*t, intset::insert(1));
-  legacy.commit(t);
-  EXPECT_EQ(legacy.history().size(), 3u);
+  off.commit(t);
+  EXPECT_TRUE(off.history().empty());
 }
 
 TEST(Runtime, MetricsExposeTxnAndObjectCounters) {

@@ -161,7 +161,7 @@ TEST(Sentinel, CheckpointingPathStaysCleanUnderBoundedMemory) {
 }
 
 TEST(Sentinel, RequiresFlightMode) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   EXPECT_THROW(rt.start_sentinel(), UsageError);
 }
 
@@ -457,17 +457,15 @@ TEST(Sentinel, ChaosWorkloadSweepAgreesWithOfflineJudgement) {
   }
 }
 
-TEST(Sentinel, RuntimeDefaultsFillUnsetSentinelOptions) {
+TEST(Sentinel, OptionsAreAdjustableWhileRunning) {
   Runtime rt;
   auto bank = BankScenario::create(rt, Protocol::kHybrid, 4, 10000);
-  SentinelOptions defaults;
-  defaults.mode = CheckMode::kEscalating;
-  defaults.window = std::chrono::milliseconds(2);
-  defaults.checkpoint_threshold = 128;
-  rt.set_sentinel_defaults(defaults);
-  EXPECT_EQ(rt.sentinel_defaults().checkpoint_threshold, 128u);
+  SentinelOptions options;
+  options.mode = CheckMode::kEscalating;
+  options.window = std::chrono::milliseconds(2);
+  options.checkpoint_threshold = 128;
 
-  auto& sentinel = rt.start_sentinel();  // all fields filled from defaults
+  auto& sentinel = rt.start_sentinel(options);
   EXPECT_EQ(sentinel.mode(), CheckMode::kEscalating);
 
   WorkloadOptions wo;

@@ -93,7 +93,7 @@ TEST(WorkloadResult, ZeroDivisionSafe) {
 }
 
 TEST(WorkloadDriver, WeightsRoughlyRespected) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kDynamic, 4, 1000);
   WorkloadOptions options;
   options.threads = 2;
@@ -115,7 +115,7 @@ TEST(WorkloadDriver, WeightsRoughlyRespected) {
 
 TEST(WorkloadDriver, DeterministicPerSeed) {
   auto run_once = [](std::uint64_t seed) {
-    Runtime rt(false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     auto bank = BankScenario::create(rt, Protocol::kDynamic, 2, 100);
     WorkloadOptions options;
     options.threads = 1;  // single thread: fully deterministic
@@ -129,14 +129,14 @@ TEST(WorkloadDriver, DeterministicPerSeed) {
 }
 
 TEST(BankScenario, SetupDepositsInitialBalance) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kDynamic, 3, 250);
   EXPECT_EQ(bank.accounts.size(), 3u);
   EXPECT_EQ(bank.total_balance(rt, false), 750);
 }
 
 TEST(BankScenario, TransferPreservesTotal) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kDynamic, 2, 100);
   auto mix = bank.transfer_mix(10, 1);
   SplitMix64 rng(3);
@@ -149,7 +149,7 @@ TEST(BankScenario, TransferPreservesTotal) {
 }
 
 TEST(QueueScenario, HybridUsesTypeSpecificQueue) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = QueueScenario::create(rt, Protocol::kHybrid);
   EXPECT_NE(std::dynamic_pointer_cast<HybridFifoQueue>(scenario.queue),
             nullptr);
@@ -159,7 +159,7 @@ TEST(QueueScenario, HybridUsesTypeSpecificQueue) {
 }
 
 TEST(QueueScenario, ProducerConsumerBodies) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = QueueScenario::create(rt, Protocol::kHybrid);
   SplitMix64 rng(1);
   auto t1 = rt.begin();
@@ -173,7 +173,7 @@ TEST(QueueScenario, ProducerConsumerBodies) {
 }
 
 TEST(AccountScenario, BurstMixHoldsTransactionOpen) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = AccountScenario::create(rt, Protocol::kDynamic, 100);
   SplitMix64 rng(1);
   auto t = rt.begin();
@@ -185,7 +185,7 @@ TEST(AccountScenario, BurstMixHoldsTransactionOpen) {
 }
 
 TEST(WorkloadDriver, TimestampSkewOptionRuns) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kStatic, 2, 100);
   WorkloadOptions options;
   options.threads = 2;

@@ -210,7 +210,7 @@ TEST(StableLogFaults, DropPendingIsIdempotent) {
 }
 
 TEST(StableLogFaults, DoubleRuntimeCrashIsIdempotent) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
   {
     auto t = rt.begin();

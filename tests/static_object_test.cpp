@@ -217,7 +217,7 @@ TEST(StaticObject, InitiateRecordedOncePerObject) {
 }
 
 TEST(StaticObject, InitiatedDrainsAtCommitAndAbort) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_static<BankAccountAdt>("a");
   for (int i = 0; i < 1000; ++i) {
     auto t = (i % 2 == 0) ? rt.begin_read_only() : rt.begin();
