@@ -72,7 +72,7 @@ class DynamicAtomicObject final : public ObjectBase {
     sched_point(op);
 
     auto lock = adaptive_lock(mu_);
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
 
     std::optional<Value> result;
     await(

@@ -16,7 +16,7 @@ Value EscrowAccount::invoke(Transaction& txn, const Operation& op) {
   sched_point(op);
 
   auto lock = adaptive_lock(mu_);
-  record(argus::invoke(id(), txn.id(), op));
+  record_invoke(txn.id(), op);
 
   std::optional<Value> result;
   await(

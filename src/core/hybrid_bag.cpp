@@ -24,7 +24,7 @@ Value HybridBag::invoke_read_only(Transaction& txn, const Operation& op) {
   if (initiated_.insert(txn.id()).second) {
     record(initiate(id(), txn.id(), t));
   }
-  record(argus::invoke(id(), txn.id(), op));
+  record_invoke(txn.id(), op);
 
   // Snapshot below t. Every logged remove result names its element, so
   // the candidate set is a singleton.
@@ -43,7 +43,7 @@ Value HybridBag::invoke_read_only(Transaction& txn, const Operation& op) {
 
 Value HybridBag::invoke_update(Transaction& txn, const Operation& op) {
   auto lock = adaptive_lock(mu_);
-  record(argus::invoke(id(), txn.id(), op));
+  record_invoke(txn.id(), op);
 
   auto& mine = intentions_[txn.id()];
   mine.owner = txn.weak_from_this();

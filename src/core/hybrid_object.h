@@ -139,7 +139,7 @@ class HybridAtomicObject final : public ObjectBase {
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
 
     // The view at t: committed operations with timestamps strictly below
     // t. The log is timestamp-ordered (applies run in commit-timestamp
@@ -161,7 +161,7 @@ class HybridAtomicObject final : public ObjectBase {
 
   Value invoke_update(Transaction& txn, const Operation& op) {
     auto lock = adaptive_lock(mu_);
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
 
     std::optional<Value> result;
     await(

@@ -26,7 +26,7 @@ Value HybridFifoQueue::invoke_read_only(Transaction& txn,
   if (initiated_.insert(txn.id()).second) {
     record(initiate(id(), txn.id(), t));
   }
-  record(argus::invoke(id(), txn.id(), op));
+  record_invoke(txn.id(), op);
 
   // Snapshot below t; the queue is deterministic, so the candidate set
   // is a singleton.
@@ -45,7 +45,7 @@ Value HybridFifoQueue::invoke_read_only(Transaction& txn,
 
 Value HybridFifoQueue::invoke_update(Transaction& txn, const Operation& op) {
   auto lock = adaptive_lock(mu_);
-  record(argus::invoke(id(), txn.id(), op));
+  record_invoke(txn.id(), op);
 
   auto& mine = intentions_[txn.id()];
   mine.owner = txn.weak_from_this();

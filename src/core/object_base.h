@@ -102,6 +102,13 @@ class ObjectBase : public ManagedObject {
     }
   }
 
+  /// Counts an invocation and records its invoke event. The event (which
+  /// copies `op`) is built only when a sink is attached.
+  void record_invoke(ActivityId activity, const Operation& op) {
+    invocations_.fetch_add(1, std::memory_order_relaxed);
+    if (sink_ != nullptr) sink_->record(argus::invoke(id_, activity, op));
+  }
+
   void record(Event e) {
     switch (e.kind) {
       case EventKind::kInvoke:

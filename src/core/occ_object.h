@@ -198,7 +198,7 @@ class OccAtomicObject final : public ObjectBase {
 
   Value invoke_optimistic(Transaction& txn, const Operation& op) {
     const auto lock = adaptive_lock(mu_);
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
 
     auto [it, inserted] = entries_.try_emplace(txn.id());
     if (inserted) it->second.base_version = version_;
@@ -242,7 +242,7 @@ class OccAtomicObject final : public ObjectBase {
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
     const auto& states = versions_.states_below(t);
     if (states.empty()) {
       throw UsageError("version log not replayable at " + name());

@@ -61,7 +61,7 @@ class StaticAtomicObject final : public ObjectBase {
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
 
     Attempt attempt;
 

@@ -401,38 +401,73 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     coordinator_died(t, std::nullopt);  // throws
   }
 
-  // Phase 1: prepare at every participant, in ascending site order. Each
-  // prepare validates locally, registers a proposed commit timestamp in
-  // the site clock's in-flight table, and forces a prepared record.
-  // tick_site_faults() between protocol steps puts mid-commit site
-  // failures inside the sweep's search space.
-  Timestamp decision = kNoTimestamp;
-  std::optional<AbortReason> veto;
+  // Phase 1: prepare at every participant, in ascending site order, in
+  // two passes. The first validates locally, registers a proposed commit
+  // timestamp in the site clock's in-flight table, and submits the force
+  // of a prepared record; the second awaits those forces in the same
+  // order. Each site's log is its own device, so the forces overlap and
+  // phase 1 costs the slowest prepare, not their sum. tick_site_faults()
+  // before each submit puts mid-commit site failures inside the sweep's
+  // search space, including a failure that drops an earlier
+  // participant's pending force.
+  struct Submitted {
+    Site* site;
+    DistTxn::Part* part;
+    StableLog::PendingPrepare pending;
+  };
+  std::vector<Submitted> submitted;
+  submitted.reserve(t.parts_.size());
+  std::optional<AbortReason> submit_veto;
   for (auto& [idx, part] : t.parts_) {
     tick_site_faults();
     Site& s = *sites_[idx];
     if (!s.up() || !part.txn->active() || part.txn->doomed()) {
-      veto = AbortReason::kUnavailable;
+      submit_veto = AbortReason::kUnavailable;
       break;
     }
     if (!send_message(FaultSite::kMsgPrepare)) {
       // Every prepare attempt to this participant was lost: treat it as
       // unreachable and abort globally — it never prepared, so nothing
       // is in doubt.
-      veto = AbortReason::kUnavailable;
+      submit_veto = AbortReason::kUnavailable;
       break;
     }
-    const std::optional<Timestamp> proposal = s.tm().prepare_2pc(part.txn);
+    std::optional<StableLog::PendingPrepare> pending =
+        s.tm().submit_prepare_2pc(part.txn);
+    if (!pending.has_value()) {
+      // The local transaction is already aborted (validation veto, or a
+      // pinned crash downed the site mid-prepare).
+      submit_veto =
+          s.up() ? AbortReason::kValidation : AbortReason::kUnavailable;
+      break;
+    }
+    submitted.push_back({&s, &part, std::move(*pending)});
+  }
+  // Every submitted force is awaited, even after a veto, so each
+  // participant ends either prepared (and abort_parts drops its record)
+  // or already aborted locally — never with a force still in flight. The
+  // veto reported is the first in site order.
+  std::optional<AbortReason> veto;
+  Timestamp decision = kNoTimestamp;
+  for (Submitted& sub : submitted) {
+    const std::optional<Timestamp> proposal =
+        sub.site->tm().await_prepare_2pc(sub.part->txn, std::move(sub.pending));
     if (!proposal.has_value()) {
-      // The local transaction is already aborted (validation veto, log
-      // force failure, or a pinned crash downed the site mid-prepare).
-      veto = s.up() ? AbortReason::kValidation : AbortReason::kUnavailable;
-      break;
+      // The force failed, or the site failed while it was pending (the
+      // crash dropped it and doomed the transaction, and the site may
+      // even have recovered since): the local transaction is already
+      // aborted.
+      if (!veto.has_value()) {
+        veto = sub.part->txn->doomed() ? AbortReason::kUnavailable
+                                       : AbortReason::kValidation;
+      }
+      continue;
     }
-    part.prepared = true;
-    part.proposal = *proposal;
+    sub.part->prepared = true;
+    sub.part->proposal = *proposal;
     decision = std::max(decision, *proposal);
   }
+  if (!veto.has_value()) veto = submit_veto;
 
   if (veto.has_value()) {
     {

@@ -28,10 +28,12 @@
 //     failed cannot commit (its participant there was doomed by the
 //     crash); commit() detects this and aborts globally.
 //
-//   * Two-phase commit. A multi-site update commits via prepare_2pc at
-//     every participant (validate + force a prepared record under a
-//     *proposed* local timestamp held in the clock's in-flight table),
-//     then the decision timestamp G = max(proposals) — globally unique,
+//   * Two-phase commit. A multi-site update prepares at every
+//     participant (validate + force a prepared record under a
+//     *proposed* local timestamp held in the clock's in-flight table;
+//     every participant's force is submitted before any is awaited, so
+//     the sites' forces overlap), then the decision timestamp
+//     G = max(proposals) — globally unique,
 //     and consistent with every local proposal — is delivered via
 //     commit_prepared (re-stamp, promote, apply behind the local
 //     watermark). Decisions are *force-written to the DecisionLog*
@@ -113,7 +115,8 @@ struct DistOptions {
   std::size_t sites{2};
   /// Local atomicity property of every object. Dynamic (§4.1) and hybrid
   /// (§4.3) are supported; validate-at-commit protocols (OCC/MVCC)
-  /// cannot participate in 2PC (see TransactionManager::prepare_2pc).
+  /// cannot participate in 2PC (see
+  /// TransactionManager::submit_prepare_2pc).
   Protocol protocol{Protocol::kHybrid};
   Runtime::RecorderMode recorder{Runtime::RecorderMode::kFlight};
   /// Site i allocates ObjectIds from [i*stride, (i+1)*stride).

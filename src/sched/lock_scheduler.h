@@ -54,7 +54,7 @@ class LockSchedulerObject final : public ObjectBase {
     sched_point(op);
 
     std::unique_lock lock(mu_);
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
 
     owners_[txn.id()] = txn.weak_from_this();
 

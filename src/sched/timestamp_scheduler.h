@@ -55,7 +55,7 @@ class TimestampSchedulerObject final : public ObjectBase {
     if (initiated_.insert(txn.id()).second) {
       record(initiate(id(), txn.id(), t));
     }
-    record(argus::invoke(id(), txn.id(), op));
+    record_invoke(txn.id(), op);
     owners_[txn.id()] = txn.weak_from_this();
 
     // Timestamp admission (checked before and after waiting: the marks

@@ -104,8 +104,8 @@ std::shared_ptr<Transaction> TransactionManager::begin_read_only(
   return t;
 }
 
-std::optional<Timestamp> TransactionManager::prepare_2pc(
-    const std::shared_ptr<Transaction>& t) {
+std::optional<StableLog::PendingPrepare>
+TransactionManager::submit_prepare_2pc(const std::shared_ptr<Transaction>& t) {
   if (t->state() != TxnState::kActive) return std::nullopt;
   if (t->doomed()) {
     finish_abort(t, t->doom_reason());
@@ -117,8 +117,8 @@ std::optional<Timestamp> TransactionManager::prepare_2pc(
       // Validate-at-commit needs the apply turn held across validation,
       // which a participant cannot do while the decision is pending.
       throw UsageError(
-          "prepare_2pc: validate-at-commit protocols (OCC/MVCC) are not "
-          "supported as 2PC participants");
+          "submit_prepare_2pc: validate-at-commit protocols (OCC/MVCC) are "
+          "not supported as 2PC participants");
     }
   }
   try {
@@ -139,14 +139,19 @@ std::optional<Timestamp> TransactionManager::prepare_2pc(
     return std::nullopt;
   }
   t->set_commit_ts(ts);
-  const AppendResult forced =
-      log_.force_prepared(build_record(*t, objects, ts));
+  return log_.submit_prepared(build_record(*t, objects, ts));
+}
+
+std::optional<Timestamp> TransactionManager::await_prepare_2pc(
+    const std::shared_ptr<Transaction>& t, StableLog::PendingPrepare pending) {
+  const AppendResult forced = log_.await_prepared(std::move(pending));
   if (forced != AppendResult::kForced) {
-    clock_.finish_commit(ts);
-    finish_abort(t, AbortReason::kIoError);
+    clock_.finish_commit(t->commit_ts());
+    finish_abort(t, forced == AppendResult::kDropped ? AbortReason::kCrash
+                                                     : AbortReason::kIoError);
     return std::nullopt;
   }
-  return ts;
+  return t->commit_ts();
 }
 
 void TransactionManager::commit_prepared(const std::shared_ptr<Transaction>& t,

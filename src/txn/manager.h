@@ -119,12 +119,17 @@ class TransactionManager {
   // The multi-site coordinator (dist/DistRuntime) drives one local
   // transaction per participating site through:
   //
-  //   prepare_2pc      — validate at every touched object, register a
-  //                      *proposed* commit timestamp in the clock's
-  //                      in-flight table, and force a prepared record
-  //                      (write-ahead). Returns the proposal, or nullopt
+  //   submit_prepare_2pc — validate at every touched object, register
+  //                      a *proposed* commit timestamp in the clock's
+  //                      in-flight table, and submit the force of a
+  //                      prepared record (write-ahead). Returns nullopt
   //                      on a veto (the local transaction is then already
   //                      aborted — the coordinator must abort globally).
+  //   await_prepare_2pc — wait for that force. Returns the proposal, or
+  //                      nullopt if the force failed or a crash dropped
+  //                      it (aborted locally, as on a veto). Submitting
+  //                      at every participant before awaiting any lets
+  //                      the sites' forces overlap.
   //   commit_prepared  — the decision arrived: re-stamp the in-flight
   //                      entry to the coordinator's global timestamp
   //                      (max of all proposals), promote the prepared
@@ -136,11 +141,20 @@ class TransactionManager {
   //                      volatile state but leave the prepared record in
   //                      the (stable) log for recovery-time resolution.
 
-  /// Phase 1. On success the transaction stays active, holding an
-  /// in-flight clock entry at the returned proposed timestamp and a
-  /// prepared log record; the caller must follow with exactly one of
-  /// commit_prepared / abort_prepared / detach_prepared.
-  std::optional<Timestamp> prepare_2pc(const std::shared_ptr<Transaction>& t);
+  /// Phase 1, first half. On success the transaction stays active,
+  /// holding an in-flight clock entry at its proposed timestamp
+  /// (t->commit_ts()), and the caller must pass the returned pending
+  /// force to await_prepare_2pc.
+  std::optional<StableLog::PendingPrepare> submit_prepare_2pc(
+      const std::shared_ptr<Transaction>& t);
+
+  /// Phase 1, second half. On success the transaction stays active with
+  /// a prepared log record at the returned proposed timestamp; the
+  /// caller must follow with exactly one of commit_prepared /
+  /// abort_prepared / detach_prepared. On failure the in-flight entry is
+  /// retired and the transaction aborted.
+  std::optional<Timestamp> await_prepare_2pc(
+      const std::shared_ptr<Transaction>& t, StableLog::PendingPrepare pending);
 
   /// Phase 2, commit. `global_ts` is the coordinator's decision
   /// timestamp (>= the local proposal; equal for single-participant

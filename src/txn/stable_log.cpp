@@ -22,6 +22,14 @@ void sleep_for_us(WaitPolicy* policy, std::int64_t us) {
   }
 }
 
+/// The clock sleep_for_us() sleeps on, in microseconds.
+std::int64_t now_us(WaitPolicy* policy) {
+  if (policy != nullptr) return static_cast<std::int64_t>(policy->now_us());
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
 void StableLog::insert_forced_locked(CommitLogRecord record) {
@@ -175,39 +183,53 @@ AppendResult StableLog::append_group(CommitLogRecord record) {
   }
 }
 
-AppendResult StableLog::force_prepared(CommitLogRecord record) {
+StableLog::PendingPrepare StableLog::submit_prepared(CommitLogRecord record) {
   WaitPolicy* policy = policy_.load(std::memory_order_acquire);
   FaultInjector* fault = fault_.load(std::memory_order_acquire);
+  PendingPrepare pending;
+  pending.record = std::move(record);
   std::chrono::microseconds base_delay;
   {
     const auto lock = adaptive_lock(mu_);
     base_delay = force_delay_;
+    pending.generation = generation_;
   }
-  std::uint32_t attempts = 0;
-  for (;;) {
+  // The prepare force is its own storage round trip, not part of a group
+  // batch. Every attempt's decision is drawn now, in the order the
+  // attempts would reach the device, and the device time they add up to
+  // is when the force completes.
+  std::chrono::microseconds busy{0};
+  std::uint32_t failures = 0;
+  for (std::uint32_t attempts = 0;;) {
     FaultInjector::ForceDecision decision;
     if (fault != nullptr) decision = fault->on_force(1);
-    const auto delay =
-        base_delay + std::chrono::microseconds(decision.latency_us);
-    sleep_for_us(policy, delay.count());
-    if (decision.fail) {
-      {
-        const auto lock = adaptive_lock(mu_);
-        ++stats_.force_failures;
-      }
-      if (attempts >= decision.max_retries) return AppendResult::kIoError;
-      ++attempts;
-      const auto backoff =
-          std::chrono::microseconds(decision.retry_backoff_us) * attempts;
-      sleep_for_us(policy, backoff.count());
-      continue;
+    busy += base_delay + std::chrono::microseconds(decision.latency_us);
+    if (!decision.fail) break;
+    ++failures;
+    if (attempts >= decision.max_retries) {
+      pending.result = AppendResult::kIoError;
+      break;
     }
-    break;
+    ++attempts;
+    busy += std::chrono::microseconds(decision.retry_backoff_us) * attempts;
   }
+  if (failures > 0) {
+    const auto lock = adaptive_lock(mu_);
+    stats_.force_failures += failures;
+  }
+  pending.done_at_us = now_us(policy) + busy.count();
+  return pending;
+}
+
+AppendResult StableLog::await_prepared(PendingPrepare pending) {
+  WaitPolicy* policy = policy_.load(std::memory_order_acquire);
+  sleep_for_us(policy, pending.done_at_us - now_us(policy));
   const auto lock = adaptive_lock(mu_);
+  if (generation_ != pending.generation) return AppendResult::kDropped;
+  if (pending.result != AppendResult::kForced) return pending.result;
   ++stats_.forces;
   ++stats_.prepared_forces;
-  prepared_.push_back(std::move(record));
+  prepared_.push_back(std::move(pending.record));
   return AppendResult::kForced;
 }
 

@@ -83,7 +83,7 @@ struct ReplayContext {
   Timestamp start_ts{kNoTimestamp};
 };
 
-/// How one append_group() call ended.
+/// How one append_group() or await_prepared() call ended.
 enum class AppendResult {
   kForced,   // the record is stable and survives crash()
   kDropped,  // drop_pending() (a crash) discarded it — abort the txn
@@ -105,10 +105,10 @@ class StableLog {
   [[nodiscard]] AppendResult append_group(CommitLogRecord record);
 
   /// Crash path: discards every record not yet forced and fails its
-  /// waiting append_group() call. Records already forced are untouched —
-  /// including prepared records (force_prepared), which is the point of
-  /// 2PC: a prepared participant that crashes can still learn the
-  /// outcome after recovery.
+  /// waiting append_group() call, and every submitted prepare not yet
+  /// awaited. Records already forced are untouched — including awaited
+  /// prepared records, which is the point of 2PC: a prepared participant
+  /// that crashes can still learn the outcome after recovery.
   void drop_pending();
 
   // --- 2PC participant records ------------------------------------------
@@ -118,14 +118,37 @@ class StableLog {
   // prepared set until the coordinator's decision arrives. promote moves
   // it into the committed log re-stamped with the global decision
   // timestamp; drop discards it (abort, or presumed abort on recovery).
-  // Both survive crash() / drop_pending(), exactly like forced records.
+  // The prepare force is split into submit and await, so a coordinator
+  // can have every participant's force in flight at once. Once awaited,
+  // a prepared record survives crash() / drop_pending() exactly like a
+  // forced record; a crash between submit and await drops it, so that
+  // participant is never in doubt.
 
-  /// Forces a prepared record to stable storage. Pays the force latency
-  /// and consults the fault injector (a prepare force can fail like any
-  /// other force — the participant then vetoes). kDropped is never
-  /// returned: the prepare force is its own storage round trip, not part
-  /// of a group batch.
-  [[nodiscard]] AppendResult force_prepared(CommitLogRecord record);
+  /// A prepared record whose force has been submitted but not yet
+  /// awaited. The force's outcome and completion time are fixed at
+  /// submission; the record becomes stable only in await_prepared().
+  struct PendingPrepare {
+    CommitLogRecord record;
+    AppendResult result{AppendResult::kForced};  // kForced or kIoError
+    /// Device completion, in µs of the clock the log sleeps on (virtual
+    /// time under a wait policy, the steady clock otherwise).
+    std::int64_t done_at_us{0};
+    std::uint64_t generation{0};  // drop_pending() since submit = dropped
+  };
+
+  /// Submits a prepared record's force without waiting for it. Draws
+  /// every fault decision of the force up front, in the order a blocking
+  /// force would (latency, failures, retries and their backoff), and
+  /// from them fixes when the simulated device completes. Several sites'
+  /// prepares can thus be in flight at once; the caller awaits each.
+  [[nodiscard]] PendingPrepare submit_prepared(CommitLogRecord record);
+
+  /// Waits until a submitted prepare's device completion time, then
+  /// makes the record stable (it enters prepared_records()). kIoError
+  /// means the force failed after exhausting its retries; kDropped
+  /// means a drop_pending() (a crash) ran after submission, so the
+  /// record never became stable. On either the participant vetoes.
+  [[nodiscard]] AppendResult await_prepared(PendingPrepare pending);
 
   /// Commits a prepared record: moves it into the committed log with
   /// commit_ts replaced by the coordinator's decision timestamp. Returns

@@ -1,11 +1,13 @@
-// Multi-site runtime tests: 2PC happy path and coordinator aborts,
-// available-copies read/write semantics, the failure rule, stale-read
-// prevention after recovery, and cross-site certification of the merged
-// history. Replaces the old remote_object_test (simulated RPC latency on
+// Multi-site runtime tests: 2PC happy path, overlapped prepare forces
+// and coordinator aborts, available-copies read/write semantics, the
+// failure rule, stale-read prevention after recovery, and cross-site
+// certification of the merged history. Replaces the old remote_object_test (simulated RPC latency on
 // a single runtime) — sites are now full runtimes with their own commit
 // pipelines and stable logs.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -594,6 +596,141 @@ TEST(DistRuntime, LostPrepareMessagesVetoCleanly) {
     if (!dist.site(i).up()) {
       EXPECT_TRUE(dist.recover(i));
     }
+  }
+  EXPECT_EQ(read_balance(dist, "s0"), 100);
+  EXPECT_EQ(read_balance(dist, "s1"), 100);
+  certify_merged(dist);
+}
+
+// ---- overlapped prepares: submit at every participant, then await ----
+
+// A two-site bank with s0 (site 0) and s1 (site 1) funded at 100 each,
+// seeded before any fault plan attaches.
+std::unique_ptr<DistRuntime> make_funded_pair() {
+  auto dist = make_bank(2, Protocol::kHybrid, {"s0", "s1"}, {});
+  const auto t = dist->begin();
+  dist->write(*t, "s0", account::deposit(100));
+  dist->write(*t, "s1", account::deposit(100));
+  dist->commit(t);
+  return dist;
+}
+
+// `plan` with the first seed whose fresh injector answers `rolls` with
+// true. Every decision is a pure function of (seed, arrival), so this
+// aims a probabilistic fault at one protocol step.
+FaultPlan aimed(FaultPlan plan,
+                const std::function<bool(FaultInjector&)>& rolls) {
+  for (plan.seed = 1;; ++plan.seed) {
+    FaultInjector probe(plan);
+    if (rolls(probe)) return plan;
+  }
+}
+
+// Withdraws 10 from s0 and deposits it in s1: one 2PC over both sites.
+void transfer_ten(DistRuntime& dist) {
+  const auto t = dist.begin();
+  dist.write(*t, "s0", account::withdraw(10));
+  dist.write(*t, "s1", account::deposit(10));
+  dist.commit(t);
+}
+
+TEST(DistRuntime, PrepareForcesOverlapAcrossParticipants) {
+  // Every force, prepare and decision alike, takes a fixed latency L. A
+  // 2PC over two sites pays max(prepare forces) + decision force = 2L,
+  // not the serial 3L; the bound sits halfway so a loaded host passes.
+  constexpr auto kForce = std::chrono::milliseconds(30);
+  const auto distp = make_funded_pair();
+  DistRuntime& dist = *distp;
+  FaultPlan plan;
+  plan.leader_latency_permille = 1000;
+  plan.leader_latency_us = static_cast<std::uint32_t>(
+      std::chrono::microseconds(kForce).count());
+  dist.set_fault_plan(plan);
+  dist.decision_log().set_force_delay(kForce);
+
+  const auto start = std::chrono::steady_clock::now();
+  transfer_ten(dist);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, 2 * kForce) << "the forces are still paid";
+  EXPECT_LT(elapsed, 5 * kForce / 2)
+      << "the prepare forces ran one after the other";
+
+  EXPECT_EQ(dist.stats().two_pc_commits, 2u);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    EXPECT_EQ(dist.site(i).tm().log().group_stats().prepared_forces, 2u);
+  }
+  EXPECT_EQ(read_balance(dist, "s0"), 90);
+  EXPECT_EQ(read_balance(dist, "s1"), 110);
+  certify_merged(dist);
+}
+
+TEST(DistRuntime, SiteFailureDropsAPendingPrepare) {
+  // The liveness tick before site 1's prepare fails site 0, whose
+  // prepare force is still pending: the crash drops it, so site 0 is
+  // never in doubt and the transaction aborts everywhere.
+  const auto distp = make_funded_pair();
+  DistRuntime& dist = *distp;
+  FaultPlan plan;
+  plan.site_fail_permille = 500;
+  plan.max_faults = 1;
+  dist.set_fault_plan(aimed(plan, [](FaultInjector& f) {
+    const bool first_tick = f.on_site_fail(0) || f.on_site_fail(1);
+    return !first_tick && f.on_site_fail(0);
+  }));
+  try {
+    transfer_ten(dist);
+    FAIL() << "a participant that failed while preparing must veto";
+  } catch (const TransactionAborted& e) {
+    EXPECT_EQ(e.reason(), AbortReason::kUnavailable);
+  }
+  EXPECT_FALSE(dist.site(0).up());
+  EXPECT_EQ(dist.stats().site_fails, 1u);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    EXPECT_TRUE(dist.site(i).tm().log().prepared_records().empty())
+        << "site " << i;
+    EXPECT_EQ(dist.site(i).tm().clock().inflight(), 0u) << "site " << i;
+  }
+  // Site 0's force never stabilized; site 1's did and was dropped.
+  EXPECT_EQ(dist.site(0).tm().log().group_stats().prepared_forces, 1u);
+  EXPECT_EQ(dist.site(1).tm().log().group_stats().prepared_dropped, 1u);
+
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    dist.site(i).runtime().set_fault_injector(nullptr);
+  }
+  EXPECT_TRUE(dist.recover(0));
+  EXPECT_EQ(dist.stats().presumed_aborts, 0u) << "nothing was in doubt";
+  EXPECT_EQ(read_balance(dist, "s0"), 100);
+  EXPECT_EQ(read_balance(dist, "s1"), 100);
+  certify_merged(dist);
+}
+
+TEST(DistRuntime, VetoAtTheSecondParticipantUnwindsTheFirst) {
+  // Site 0's prepare is submitted; the prepare message to site 1 is lost
+  // (no resends). The coordinator still awaits site 0's force, then
+  // aborts it: no prepared record and no in-flight timestamp remain.
+  const auto distp = make_funded_pair();
+  DistRuntime& dist = *distp;
+  FaultPlan plan;
+  plan.msg_loss_permille = 500;
+  plan.msg_retries = 0;
+  plan.max_faults = 1;
+  dist.set_fault_plan(aimed(plan, [](FaultInjector& f) {
+    const bool first_lost = f.on_message(FaultSite::kMsgPrepare).lost;
+    return !first_lost && f.on_message(FaultSite::kMsgPrepare).lost;
+  }));
+  EXPECT_THROW(transfer_ten(dist), TransactionAborted);
+  EXPECT_EQ(dist.stats().msgs_lost, 1u);
+
+  TransactionManager& first = dist.site(0).tm();
+  EXPECT_TRUE(dist.site(0).up());
+  EXPECT_TRUE(first.log().prepared_records().empty());
+  EXPECT_EQ(first.clock().inflight(), 0u);
+  EXPECT_EQ(first.log().group_stats().prepared_forces, 2u);
+  EXPECT_EQ(first.log().group_stats().prepared_dropped, 1u);
+  EXPECT_EQ(dist.site(1).tm().clock().inflight(), 0u);
+
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    dist.site(i).runtime().set_fault_injector(nullptr);
   }
   EXPECT_EQ(read_balance(dist, "s0"), 100);
   EXPECT_EQ(read_balance(dist, "s1"), 100);
