@@ -16,9 +16,15 @@
 // the coordinator's DecisionLog before delivery (crash-tolerant commit
 // coordination), with the same simulated storage latency as the
 // participants' prepares.
+//
+// Every case is repeated (kRepetitions fresh deployments) and reports
+// the median txn/s with its quartiles; the other counters are the last
+// run's, and every run asserts conservation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -80,10 +86,38 @@ std::int64_t total_balance(DistRuntime& dist) {
   return total;
 }
 
+// One run of a case takes 25 ms to a few hundred, so a single run's rate
+// is at the mercy of the host's scheduler. Every case runs this many
+// times (benchmark iterations, a fresh deployment each) and reports the
+// median rate with its quartiles.
+constexpr int kRepetitions = 9;
+
+/// Sets txn_per_s to the median of `rates` and adds its quartiles
+/// (txn_per_s_p25, _p75, _iqr) and the number of runs.
+void add_rate_summary(std::vector<double> rates,
+                      std::map<std::string, double>& counters) {
+  std::sort(rates.begin(), rates.end());
+  // Linear interpolation between closest ranks.
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(rates.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, rates.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return rates[lo] + frac * (rates[hi] - rates[lo]);
+  };
+  counters["txn_per_s"] = quantile(0.5);
+  counters["txn_per_s_p25"] = quantile(0.25);
+  counters["txn_per_s_p75"] = quantile(0.75);
+  counters["txn_per_s_iqr"] = quantile(0.75) - quantile(0.25);
+  counters["runs"] = static_cast<double>(rates.size());
+}
+
 // Shard-local transfers, one driver thread per site over that site's own
 // accounts: every commit is one-phase, sites share nothing.
 void BM_DistScaling_ShardLocal(benchmark::State& state) {
   const auto sites = static_cast<std::size_t>(state.range(0));
+  std::vector<double> rates;
+  std::map<std::string, double> counters;
   for (auto _ : state) {
     const auto dist = build(sites);
     const std::size_t accounts = sites * kAccountsPerSite;
@@ -118,18 +152,17 @@ void BM_DistScaling_ShardLocal(benchmark::State& state) {
       throw std::runtime_error("conservation violated in E16 shard-local run");
     }
     const DistStats stats = dist->stats();
-    const double committed =
+    rates.push_back(static_cast<double>(sites * kTxnsPerThread) /
+                    elapsed.count());
+    counters["committed"] =
         static_cast<double>(stats.one_phase_commits + stats.two_pc_commits);
-    std::map<std::string, double> counters;
-    counters["txn_per_s"] =
-        static_cast<double>(sites * kTxnsPerThread) / elapsed.count();
-    counters["committed"] = committed;
     counters["two_pc_commits"] = static_cast<double>(stats.two_pc_commits);
     counters["aborted"] = static_cast<double>(stats.aborts);
-    for (const auto& [k, v] : counters) state.counters[k] = v;
-    bench::JsonSink::instance().update(
-        "dist_scaling/shard_local/sites" + std::to_string(sites), counters);
   }
+  add_rate_summary(rates, counters);
+  for (const auto& [k, v] : counters) state.counters[k] = v;
+  bench::JsonSink::instance().update(
+      "dist_scaling/shard_local/sites" + std::to_string(sites), counters);
 }
 
 // The coordinated path for contrast: every transfer crosses two sites,
@@ -137,6 +170,8 @@ void BM_DistScaling_ShardLocal(benchmark::State& state) {
 // under the coordinator lock.
 void BM_DistScaling_CrossSite2PC(benchmark::State& state) {
   const auto sites = static_cast<std::size_t>(state.range(0));
+  std::vector<double> rates;
+  std::map<std::string, double> counters;
   for (auto _ : state) {
     const auto dist = build(sites);
     const std::size_t accounts = sites * kAccountsPerSite;
@@ -163,17 +198,16 @@ void BM_DistScaling_CrossSite2PC(benchmark::State& state) {
       throw std::runtime_error("conservation violated in E16 2PC run");
     }
     const DistStats stats = dist->stats();
-    std::map<std::string, double> counters;
-    counters["txn_per_s"] =
-        static_cast<double>(kTxnsPerThread) / elapsed.count();
+    rates.push_back(static_cast<double>(kTxnsPerThread) / elapsed.count());
     counters["committed"] = static_cast<double>(stats.one_phase_commits +
                                                 stats.two_pc_commits);
     counters["two_pc_commits"] = static_cast<double>(stats.two_pc_commits);
     counters["aborted"] = static_cast<double>(stats.aborts);
-    for (const auto& [k, v] : counters) state.counters[k] = v;
-    bench::JsonSink::instance().update(
-        "dist_scaling/cross_site_2pc/sites" + std::to_string(sites), counters);
   }
+  add_rate_summary(rates, counters);
+  for (const auto& [k, v] : counters) state.counters[k] = v;
+  bench::JsonSink::instance().update(
+      "dist_scaling/cross_site_2pc/sites" + std::to_string(sites), counters);
 }
 
 // E18: the price of crash-tolerant commit coordination. Cross-site 2PC
@@ -182,6 +216,8 @@ void BM_DistScaling_CrossSite2PC(benchmark::State& state) {
 // participants' prepares).
 void BM_DecisionLogCost(benchmark::State& state) {
   constexpr std::size_t kSites = 2;
+  std::vector<double> rates;
+  std::map<std::string, double> counters;
   for (auto _ : state) {
     DistOptions options;
     options.sites = kSites;
@@ -235,16 +271,15 @@ void BM_DecisionLogCost(benchmark::State& state) {
       throw std::runtime_error("conservation violated in E18 run");
     }
     const DistStats stats = dist->stats();
-    std::map<std::string, double> counters;
-    counters["txn_per_s"] =
-        static_cast<double>(kTxnsPerThread) / elapsed.count();
+    rates.push_back(static_cast<double>(kTxnsPerThread) / elapsed.count());
     counters["two_pc_commits"] = static_cast<double>(stats.two_pc_commits);
     counters["decisions_logged"] = static_cast<double>(stats.decisions_logged);
     counters["decisions_truncated"] =
         static_cast<double>(stats.decisions_truncated);
-    for (const auto& [k, v] : counters) state.counters[k] = v;
-    bench::JsonSink::instance().update("decision_log/durable", counters);
   }
+  add_rate_summary(rates, counters);
+  for (const auto& [k, v] : counters) state.counters[k] = v;
+  bench::JsonSink::instance().update("decision_log/durable", counters);
 }
 
 BENCHMARK(BM_DistScaling_ShardLocal)
@@ -252,15 +287,15 @@ BENCHMARK(BM_DistScaling_ShardLocal)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(kRepetitions);
 BENCHMARK(BM_DistScaling_CrossSite2PC)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(kRepetitions);
 BENCHMARK(BM_DecisionLogCost)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(kRepetitions);
 
 }  // namespace
 }  // namespace argus

@@ -85,6 +85,10 @@ class DynamicAtomicObject final : public ObjectBase {
 
   void prepare(Transaction& txn) override { txn.ensure_active(); }
 
+  [[nodiscard]] bool is_observer(const Operation& op) const override {
+    return A::is_read_only(op);
+  }
+
   void commit(Transaction& txn, Timestamp /*commit_ts*/) override {
     const auto lock = adaptive_lock(mu_);
     auto it = intentions_.find(txn.id());

@@ -56,6 +56,10 @@ class HybridAtomicObject final : public ObjectBase {
 
   void prepare(Transaction& txn) override { txn.ensure_active(); }
 
+  [[nodiscard]] bool is_observer(const Operation& op) const override {
+    return A::is_read_only(op);
+  }
+
   void commit(Transaction& txn, Timestamp commit_ts) override {
     const auto lock = adaptive_lock(mu_);
     if (txn.read_only()) {

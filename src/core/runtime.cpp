@@ -92,6 +92,9 @@ void Runtime::register_collectors() {
                      "Transactions aborted, by reason", "counter");
   metrics_->describe("argus_commit_pipeline_commits_total",
                      "Commits completed by the staged pipeline", "counter");
+  metrics_->describe("argus_commit_pipeline_unforced_total",
+                     "Pipeline commits with nothing to redo, not forced",
+                     "counter");
   metrics_->describe("argus_commit_pipeline_seconds_total",
                      "Cumulative time in each commit-pipeline stage",
                      "counter");
@@ -133,6 +136,9 @@ void Runtime::register_collectors() {
     const CommitPipelineStats p = tm_.pipeline_stats();
     out.push_back(
         {"argus_commit_pipeline_commits_total", {}, double(p.commits)});
+    out.push_back({"argus_commit_pipeline_unforced_total",
+                   {},
+                   double(p.unforced_commits)});
     const std::pair<const char*, std::uint64_t> stages[] = {
         {"validate", p.validate_us},
         {"timestamp", p.timestamp_us},
@@ -237,6 +243,9 @@ void Runtime::register_collectors() {
                      "Aborts from OCC/MVCC commit validation", "counter");
   metrics_->describe("argus_executor_gave_up_total",
                      "Tasks that exhausted their retry budget", "counter");
+  metrics_->describe("argus_executor_attempts",
+                     "Completed tasks that took at most `le` attempts",
+                     "counter");
   metrics_->add_collector([this]() {
     std::vector<MetricSample> out;
     std::shared_ptr<const ExecutorStatsBlock> stats;
@@ -255,6 +264,14 @@ void Runtime::register_collectors() {
                    {},
                    double(s.validation_aborts)});
     out.push_back({"argus_executor_gave_up_total", {}, double(s.gave_up)});
+    std::uint64_t within = 0;  // cumulative, as Prometheus buckets are
+    for (std::size_t i = 0; i < kAttemptBands; ++i) {
+      within += s.attempts[i];
+      const std::string le = i < kAttemptBounds.size()
+                                 ? std::to_string(kAttemptBounds[i])
+                                 : "+Inf";
+      out.push_back({"argus_executor_attempts", {{"le", le}}, double(within)});
+    }
     return out;
   });
 

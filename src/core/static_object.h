@@ -175,15 +175,22 @@ class StaticAtomicObject final : public ObjectBase {
 
   std::vector<std::shared_ptr<Transaction>> owners_below(Timestamp t,
                                                          ActivityId self) {
-    std::vector<std::shared_ptr<Transaction>> out;
+    std::vector<ActivityId> owners;  // log order, each once
     std::set<ActivityId> seen;
     for (const auto& [key, rec] : log_) {
       if (key.first >= t) break;
       if (rec.committed || rec.txn == self || !seen.insert(rec.txn).second) {
         continue;
       }
-      for (const auto& t_active : tm_.active_transactions()) {
-        if (t_active->id() == rec.txn) out.push_back(t_active);
+      owners.push_back(rec.txn);
+    }
+    std::vector<std::shared_ptr<Transaction>> out;
+    if (owners.empty()) return out;
+    // One snapshot of the active set per call, not one per owner.
+    const auto active = tm_.active_transactions();
+    for (ActivityId owner : owners) {
+      for (const auto& t_active : active) {
+        if (t_active->id() == owner) out.push_back(t_active);
       }
     }
     return out;

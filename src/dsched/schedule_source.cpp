@@ -28,6 +28,8 @@ std::string to_string(WaitPoint point) {
       return "sentinel-window";
     case WaitPoint::kExecutorQueue:
       return "executor-queue";
+    case WaitPoint::kExecutorBackoff:
+      return "executor-backoff";
   }
   return "unknown";
 }

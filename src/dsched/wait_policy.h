@@ -59,6 +59,7 @@ enum class WaitPoint : int {
   kLogSleep,          // StableLog simulated force latency / retry backoff
   kSentinelWindow,    // AtomicitySentinel between drain windows
   kExecutorQueue,     // TxnExecutor worker waiting for a task (or drain)
+  kExecutorBackoff,   // TxnExecutor backing off before a deadlock retry
 };
 
 [[nodiscard]] std::string to_string(WaitPoint point);

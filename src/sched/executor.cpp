@@ -1,6 +1,8 @@
 #include "sched/executor.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/adaptive_lock.h"
@@ -16,6 +18,12 @@ double micros_since(SteadyClock::time_point start) {
   return std::chrono::duration<double, std::micro>(SteadyClock::now() - start)
       .count();
 }
+
+// Deadlock-retry backoff: uniform below kBackoffBaseUs * 2^attempts,
+// capped at kBackoffCapUs.
+constexpr std::uint64_t kBackoffBaseUs = 20;
+constexpr std::uint64_t kBackoffCapUs = 1000;
+constexpr std::uint64_t kBackoffSalt = 0xbf58476d1ce4e5b9ULL;
 
 }  // namespace
 
@@ -85,13 +93,15 @@ void TxnExecutor::worker_loop() {
                                 std::memory_order_relaxed);
     }
     run_task(task);
+    // Counted before completed_ moves: drain() may return on a timed
+    // wake-up as soon as it does, and stats() must then read every task.
+    stats_->completed.fetch_add(1, std::memory_order_relaxed);
     bool idle = false;
     {
       const auto lock = adaptive_lock(mu_);
       ++completed_;
       idle = completed_ == submitted_;
     }
-    stats_->completed.fetch_add(1, std::memory_order_relaxed);
     // drain() and shutdown() wait only for the last task; waking them
     // after every task would cost each wake-up a trip through mu_.
     if (idle) notify(idle_cv_);
@@ -102,16 +112,26 @@ void TxnExecutor::worker_loop() {
 
 void TxnExecutor::run_task(const Task& task) {
   // The rng persists across retries: a retried transaction continues the
-  // task's random stream, as the old per-thread driver loop did.
+  // task's random stream, as the old per-thread workload loop did. Backoff
+  // draws come from a stream of their own, so they leave it untouched.
   SplitMix64 rng(task.seed);
+  SplitMix64 backoff_rng(task.seed ^ kBackoffSalt);
   Outcome out;
   out.label = task.label;
+  std::optional<ActivityId> age;
   const auto t0 = SteadyClock::now();
   for (int attempt = 0; attempt <= options_.max_retries && !out.committed;
        ++attempt) {
     if (attempt > 0) stats_->retries.fetch_add(1, std::memory_order_relaxed);
     ++out.attempts;
     auto txn = rt_.tm().begin(task.kind);
+    // Every attempt is as old as the first: deadlock victims are chosen
+    // by age, so a task that keeps losing becomes the oldest in time.
+    if (age.has_value()) {
+      txn->inherit_age(*age);
+    } else {
+      age = txn->id();
+    }
     if (options_.timestamp_skew_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(rng.below(
           static_cast<std::uint64_t>(options_.timestamp_skew_us) + 1)));
@@ -127,11 +147,34 @@ void TxnExecutor::run_task(const Task& task) {
       if (e.reason() == AbortReason::kValidation) {
         stats_->validation_aborts.fetch_add(1, std::memory_order_relaxed);
       }
+      // A deadlock victim that retried at once would take the freed lock
+      // before the winner's thread runs and rebuild the same cycle.
+      if (e.reason() == AbortReason::kDeadlock &&
+          attempt < options_.max_retries) {
+        back_off(out.attempts, backoff_rng);
+      }
     }
   }
-  if (!out.committed) stats_->gave_up.fetch_add(1, std::memory_order_relaxed);
   out.latency_us = micros_since(t0);
+  if (!out.committed) stats_->gave_up.fetch_add(1, std::memory_order_relaxed);
+  const auto band = static_cast<std::size_t>(
+      std::ranges::lower_bound(kAttemptBounds, out.attempts) -
+      kAttemptBounds.begin());
+  stats_->attempts[band].fetch_add(1, std::memory_order_relaxed);
   if (on_complete_) on_complete_(out);
+}
+
+void TxnExecutor::back_off(std::uint64_t attempts, SplitMix64& rng) {
+  // 20 << 6 is past the cap already; clamping the shift keeps it defined.
+  const std::uint64_t bound =
+      std::min(kBackoffCapUs, kBackoffBaseUs << std::min<std::uint64_t>(
+                                  attempts, 6));
+  const std::uint64_t us = rng.below(bound);
+  if (WaitPolicy* policy = rt_.tm().wait_policy()) {
+    policy->sleep_us(WaitPoint::kExecutorBackoff, us);
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+  }
 }
 
 void TxnExecutor::wait_round(const void* channel,

@@ -9,7 +9,12 @@
 // TransactionAborted aborts and re-begins up to max_retries times —
 // deadlock victims, timestamp-order losers and OCC/MVCC validation
 // losers all funnel through the same loop, so abort-and-retry costs are
-// measured uniformly across modes (bench_cc_modes, E15).
+// measured uniformly across modes (bench_cc_modes, E15). Two rules keep
+// lock-mode retries from starving: every attempt inherits its first
+// attempt's age (Transaction::age, the deadlock victim rule's key), and
+// a deadlock victim backs off before it retries — uniform below
+// 20 us * 2^attempts, capped at 1 ms, in virtual time under a
+// WaitPolicy — so the winner takes the freed lock first.
 //
 // Scheduling integration: the queue handoff (worker waiting for a task,
 // drain() waiting for completion) routes through the runtime's
@@ -20,8 +25,8 @@
 //
 // Telemetry: the pool publishes an ExecutorStatsBlock to the runtime
 // (argus_executor_* gauges/counters: pool size, queue depth, retries,
-// validation aborts). The block is shared so scrapes after the pool is
-// gone still read its final values.
+// validation aborts, tasks by attempts taken). The block is shared so
+// scrapes after the pool is gone still read its final values.
 #pragma once
 
 #include <condition_variable>
@@ -101,6 +106,7 @@ class TxnExecutor {
  private:
   void worker_loop();
   void run_task(const Task& task);
+  void back_off(std::uint64_t attempts, SplitMix64& rng);
   void wait_round(const void* channel, std::unique_lock<std::mutex>& lock,
                   std::condition_variable& cv);
   void notify(std::condition_variable& cv);

@@ -76,6 +76,10 @@ class LockSchedulerObject final : public ObjectBase {
 
   void prepare(Transaction& txn) override { txn.ensure_active(); }
 
+  [[nodiscard]] bool is_observer(const Operation& op) const override {
+    return A::is_read_only(op);
+  }
+
   void commit(Transaction& txn, Timestamp /*commit_ts*/) override {
     const std::scoped_lock lock(mu_);
     storage_.commit(txn.id());

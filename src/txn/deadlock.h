@@ -5,7 +5,10 @@
 // "Because of the need to wait for locks, long read-only activities can be
 // quite prone to deadlock." We detect cycles eagerly on each new wait
 // edge and abort the youngest transaction in the cycle, which is what
-// makes the E3/E4 abort-rate comparisons measurable.
+// makes the E3/E4 abort-rate comparisons measurable. Youngest means the
+// largest age (Transaction::age(), which a retry inherits from its first
+// attempt), ties broken by the larger id. A retried task so keeps its
+// place while newer tasks arrive behind it, and soon wins every cycle.
 #pragma once
 
 #include <memory>
@@ -24,9 +27,10 @@ class DeadlockDetector {
   DeadlockDetector() = default;
 
   /// Declares that `waiter` is blocked on each of `holders`. If that
-  /// closes a cycle, picks the youngest (largest-id) transaction in the
-  /// cycle, dooms it with AbortReason::kDeadlock, and returns it so the
-  /// caller can wake it; returns nullptr when no deadlock arises.
+  /// closes a cycle, picks the youngest (largest age, then largest id)
+  /// transaction in the cycle, dooms it with AbortReason::kDeadlock, and
+  /// returns it so the caller can wake it; returns nullptr when no
+  /// deadlock arises.
   std::shared_ptr<Transaction> add_wait(
       const std::shared_ptr<Transaction>& waiter,
       const std::vector<std::shared_ptr<Transaction>>& holders);

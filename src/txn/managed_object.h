@@ -55,6 +55,19 @@ class ManagedObject {
   /// throwing TransactionAborted (first-committer-wins). Must not block.
   virtual void validate_serial(Transaction& txn) { (void)txn; }
 
+  /// True when `op` is an observer here that leaves nothing for recovery
+  /// to redo: it changes no state, and the object serializes its
+  /// transactions at commit, so the read constrains nobody once its
+  /// transaction has taken the commit turn. An update transaction whose
+  /// every logged operation is such an observer commits without a log
+  /// force. Classifies the operation, not its result. Objects that
+  /// serialize at a start timestamp (a read there still orders later
+  /// writers) or validate at commit keep the default.
+  [[nodiscard]] virtual bool is_observer(const Operation& op) const {
+    (void)op;
+    return false;
+  }
+
   /// Apply stage: make txn's effects permanent. `commit_ts` is the commit
   /// timestamp assigned by the manager (hybrid atomicity's timestamp
   /// event); plain protocols may ignore it. The manager calls applies in

@@ -21,6 +21,22 @@ std::uint64_t micros_between(SteadyClock::time_point from,
           .count());
 }
 
+/// False when `record`, as build_record() built it for `objects` (one
+/// entry per object, in order), has nothing to redo: at least one
+/// operation, every one an observer at its object. An update transaction
+/// that invoked nothing still writes its record.
+bool needs_force(const CommitLogRecord& record,
+                 const std::vector<ManagedObject*>& objects) {
+  bool any_op = false;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    for (const LoggedOp& logged : record.entries[i].ops) {
+      if (!objects[i]->is_observer(logged.op)) return true;
+      any_op = true;
+    }
+  }
+  return !any_op;
+}
+
 }  // namespace
 
 std::shared_ptr<Transaction> TransactionManager::begin(TxnKind kind) {
@@ -343,27 +359,32 @@ void TransactionManager::commit_pipelined(
                            std::memory_order_relaxed);
   }
 
-  // Stage 3: group-commit log force. Write-ahead: the record is stable
-  // before anything applies. Concurrent committers coalesce into one
-  // force; a crash discards un-forced records and fails the append, and
-  // an exhausted-retries force failure fails them as an I/O error.
-  const auto log_start = SteadyClock::now();
-  const AppendResult forced = log_.append_group(build_record(*t, objects, ts));
-  log_us_.fetch_add(micros_between(log_start, SteadyClock::now()),
-                    std::memory_order_relaxed);
-  if (forced != AppendResult::kForced) {
-    const AbortReason reason = forced == AppendResult::kIoError
-                                   ? AbortReason::kIoError
-                                   : AbortReason::kCrash;
-    finish_abort(t, reason);
-    throw TransactionAborted(t->id(), reason);
-  }
+  // Stage 3: group-commit log force, skipped when there is nothing to
+  // redo. Write-ahead: the record is stable before anything applies.
+  // Concurrent committers coalesce into one force; a crash discards
+  // un-forced records and fails the append, and an exhausted-retries
+  // force failure fails them as an I/O error.
+  CommitLogRecord record = build_record(*t, objects, ts);
+  const bool force = needs_force(record, objects);
+  if (force) {
+    const auto log_start = SteadyClock::now();
+    const AppendResult forced = log_.append_group(std::move(record));
+    log_us_.fetch_add(micros_between(log_start, SteadyClock::now()),
+                      std::memory_order_relaxed);
+    if (forced != AppendResult::kForced) {
+      const AbortReason reason = forced == AppendResult::kIoError
+                                     ? AbortReason::kIoError
+                                     : AbortReason::kCrash;
+      finish_abort(t, reason);
+      throw TransactionAborted(t->id(), reason);
+    }
 
-  // Crash point: the record is stable but nothing has applied. The apply
-  // below still completes — a forced record is committed by definition,
-  // and recovery replays it — which is exactly the window this crash
-  // point exists to exercise.
-  if (fault != nullptr) fault->maybe_crash(FaultSite::kPostForcePreApply);
+    // Crash point: the record is stable but nothing has applied. The
+    // apply below still completes — a forced record is committed by
+    // definition, and recovery replays it — which is exactly the window
+    // this crash point exists to exercise.
+    if (fault != nullptr) fault->maybe_crash(FaultSite::kPostForcePreApply);
+  }
 
   // Stage 4: apply + publish. Objects apply in commit-timestamp order —
   // each committer waits for every earlier in-flight commit to retire, so
@@ -373,6 +394,16 @@ void TransactionManager::commit_pipelined(
   // read-only begins.
   const auto apply_start = SteadyClock::now();
   if (!serial_validation) clock_.wait_for_turn(ts);  // else turn already held
+  if (!force && t->doomed()) {
+    // An unforced commit has no record for a crash to drop, so its
+    // commit point is here, with the turn held: every earlier commit has
+    // forced and retired. A crash that fired while this transaction
+    // waited for the turn aborts it, as drop_pending() aborts a record
+    // still waiting for its force.
+    const AbortReason reason = t->doom_reason();
+    finish_abort(t, reason);
+    throw TransactionAborted(t->id(), reason);
+  }
   bool first_apply = true;
   for (ManagedObject* o : objects) {
     // Crash point: some of this transaction's objects applied, some not
@@ -392,6 +423,7 @@ void TransactionManager::commit_pipelined(
   apply_us_.fetch_add(micros_between(apply_start, SteadyClock::now()),
                       std::memory_order_relaxed);
   pipelined_commits_.fetch_add(1, std::memory_order_relaxed);
+  if (!force) unforced_commits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TransactionManager::finish_commit_bookkeeping(
@@ -447,6 +479,7 @@ TxnStats TransactionManager::stats() const {
 CommitPipelineStats TransactionManager::pipeline_stats() const {
   CommitPipelineStats out;
   out.commits = pipelined_commits_.load(std::memory_order_relaxed);
+  out.unforced_commits = unforced_commits_.load(std::memory_order_relaxed);
   out.validate_us = validate_us_.load(std::memory_order_relaxed);
   out.timestamp_us = timestamp_us_.load(std::memory_order_relaxed);
   out.log_us = log_us_.load(std::memory_order_relaxed);

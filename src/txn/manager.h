@@ -10,7 +10,12 @@
 //                   in the clock's in-flight commit table.
 //   3. group log  — StableLog::append_group(): concurrent committers
 //                   coalesce into a single log force (write-ahead: the
-//                   record is stable before anything applies).
+//                   record is stable before anything applies). Skipped
+//                   when the record has nothing to redo: at least one
+//                   operation, and every one an observer at an object
+//                   that serializes at commit (ManagedObject::
+//                   is_observer). Such a commit's commit point is the
+//                   doom check once it holds its apply turn.
 //   4. apply+publish — objects apply in commit-timestamp order (the
 //                   clock hands each committer its turn), then the commit
 //                   publishes by retiring its table entry, which advances
@@ -61,6 +66,7 @@ struct TxnStats {
 /// batch shape, and the watermark's lag behind the clock.
 struct CommitPipelineStats {
   std::uint64_t commits{0};       // pipelined commits completed
+  std::uint64_t unforced_commits{0};  // of those, observer-only: no force
   std::uint64_t validate_us{0};   // cumulative time in each stage
   std::uint64_t timestamp_us{0};
   std::uint64_t log_us{0};
@@ -278,6 +284,7 @@ class TransactionManager {
 
   // Pipeline stage counters (cumulative microseconds).
   std::atomic<std::uint64_t> pipelined_commits_{0};
+  std::atomic<std::uint64_t> unforced_commits_{0};
   std::atomic<std::uint64_t> validate_us_{0};
   std::atomic<std::uint64_t> timestamp_us_{0};
   std::atomic<std::uint64_t> log_us_{0};

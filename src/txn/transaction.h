@@ -39,6 +39,18 @@ class Transaction : public std::enable_shared_from_this<Transaction> {
   [[nodiscard]] TxnKind kind() const { return kind_; }
   [[nodiscard]] bool read_only() const { return kind_ == TxnKind::kReadOnly; }
 
+  /// Deadlock-victim priority: the id of the first attempt of the logical
+  /// task this transaction runs (its own id unless set). A retry keeps
+  /// its first attempt's age, so the oldest task wins every cycle instead
+  /// of each retry being the youngest again. Set before the first
+  /// operation.
+  [[nodiscard]] ActivityId age() const {
+    return ActivityId{age_.load(std::memory_order_relaxed)};
+  }
+  void inherit_age(ActivityId first_attempt) {
+    age_.store(first_attempt.value, std::memory_order_relaxed);
+  }
+
   /// Timestamp chosen at initiation. Used as the serialization timestamp
   /// by static-atomic objects (all transactions) and by hybrid-atomic
   /// objects (read-only transactions only). Under the pipelined commit
@@ -104,6 +116,7 @@ class Transaction : public std::enable_shared_from_this<Transaction> {
   const ActivityId id_;
   const TxnKind kind_;
   const Timestamp start_ts_;
+  std::atomic<std::uint64_t> age_;
   std::atomic<Timestamp> commit_ts_{kNoTimestamp};
   std::atomic<TxnState> state_{TxnState::kActive};
   std::atomic<bool> doomed_{false};

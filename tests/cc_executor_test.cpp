@@ -364,6 +364,21 @@ TEST(TxnExecutor, RetryExhaustionGivesUpCleanly) {
   pool.drain();
   EXPECT_EQ(pool.stats().committed, 1u);
   EXPECT_EQ(x->committed_state(), 9);
+
+  // Tasks by attempts taken: the first needed 4 (the le="4" band), the
+  // second 1. The export is cumulative.
+  const ExecutorStatsSnapshot bands = pool.stats();
+  EXPECT_EQ(bands.attempts[0], 1u);
+  EXPECT_EQ(bands.attempts[2], 1u);
+  const std::string text = rt.metrics().prometheus_text();
+  EXPECT_NE(text.find("argus_executor_attempts{le=\"1\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("argus_executor_attempts{le=\"2\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("argus_executor_attempts{le=\"4\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("argus_executor_attempts{le=\"+Inf\"} 2\n"),
+            std::string::npos);
 }
 
 TEST(TxnExecutor, CountsValidationAbortsAcrossRetries) {

@@ -1,5 +1,6 @@
 // Staged commit pipeline: the read-only watermark invariant under
-// concurrency, group-commit crash semantics, and mode parity.
+// concurrency, group-commit crash semantics, mode parity, and which
+// update transactions skip the log force.
 //
 // The load-bearing invariant (§4.3.3, preserved by the watermark): a
 // read-only activity with start timestamp t observes exactly the
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "core/runtime.h"
 #include "hist/wellformed.h"
+#include "sched/factory.h"
 #include "spec/adts/bank_account.h"
 #include "test_util.h"
 
@@ -266,6 +268,127 @@ TEST(CommitPipeline, ConcurrentCommitsSurviveCrashAndRecover) {
   EXPECT_EQ(account->committed_state(),
             static_cast<std::int64_t>(2 * committed));
 }
+
+// ---------------------------------------------------------------------------
+// Observer-only update transactions: nothing to redo, so no log force at
+// objects that serialize at commit; everything else still forces.
+
+/// Two accounts under `protocol`, seeded by one forced deposit each.
+struct ObserverBank {
+  explicit ObserverBank(Protocol protocol)
+      : a(make_object<BankAccountAdt>(rt, protocol, "a")),
+        b(make_object<BankAccountAdt>(rt, protocol, "b")) {
+    auto setup = rt.begin();
+    a->invoke(*setup, account::deposit(10));
+    b->invoke(*setup, account::deposit(20));
+    rt.commit(setup);
+  }
+
+  /// Commits one update transaction running `body`; returns it.
+  template <typename Body>
+  std::shared_ptr<Transaction> commit_update(Body body) {
+    auto t = rt.begin();
+    body(*t);
+    rt.commit(t);
+    return t;
+  }
+
+  Runtime rt;  // declared first: a and b are built in it
+  std::shared_ptr<ManagedObject> a;
+  std::shared_ptr<ManagedObject> b;
+};
+
+class ObserverSkip : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(ObserverSkip, ObserverOnlyUpdateCommitsWithoutAForce) {
+  ObserverBank bank(GetParam());
+  const std::size_t records = bank.rt.tm().log().size();
+  const std::uint64_t forces = bank.rt.tm().log().group_stats().forces;
+
+  auto t = bank.commit_update([&](Transaction& txn) {
+    EXPECT_EQ(bank.a->invoke(txn, account::balance()), Value{10});
+    EXPECT_EQ(bank.b->invoke(txn, account::balance()), Value{20});
+  });
+
+  EXPECT_EQ(t->state(), TxnState::kCommitted);
+  EXPECT_EQ(bank.rt.tm().log().size(), records);
+  EXPECT_EQ(bank.rt.tm().log().group_stats().forces, forces);
+  // It still drew a timestamp, took its turn and published.
+  EXPECT_NE(t->commit_ts(), kNoTimestamp);
+  EXPECT_GE(bank.rt.tm().clock().watermark(), t->commit_ts());
+  EXPECT_EQ(bank.rt.tm().clock().inflight(), 0u);
+  const CommitPipelineStats stats = bank.rt.tm().pipeline_stats();
+  EXPECT_EQ(stats.commits, 2u);
+  EXPECT_EQ(stats.unforced_commits, 1u);
+  EXPECT_NE(bank.rt.metrics().prometheus_text().find(
+                "argus_commit_pipeline_unforced_total 1"),
+            std::string::npos);
+
+  // Nothing was lost: the next mutator forces and recovery replays it.
+  bank.commit_update(
+      [&](Transaction& txn) { bank.a->invoke(txn, account::deposit(1)); });
+  EXPECT_EQ(bank.rt.tm().log().size(), records + 1);
+  bank.rt.crash();
+  bank.rt.recover();
+  bank.commit_update([&](Transaction& txn) {
+    EXPECT_EQ(bank.a->invoke(txn, account::balance()), Value{11});
+  });
+}
+
+TEST_P(ObserverSkip, FailedWithdrawIsStillForced) {
+  ObserverBank bank(GetParam());
+  const std::size_t records = bank.rt.tm().log().size();
+  const std::uint64_t forces = bank.rt.tm().log().group_stats().forces;
+
+  // A mutator whose result is insufficient_funds changed nothing, but it
+  // is classified by operation, not by result.
+  bank.commit_update([&](Transaction& txn) {
+    EXPECT_EQ(bank.b->invoke(txn, account::balance()), Value{20});
+    EXPECT_EQ(bank.a->invoke(txn, account::withdraw(99)),
+              Value{kInsufficientFunds});
+  });
+
+  EXPECT_EQ(bank.rt.tm().log().size(), records + 1);
+  EXPECT_EQ(bank.rt.tm().log().group_stats().forces, forces + 1);
+  EXPECT_EQ(bank.rt.tm().pipeline_stats().unforced_commits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(CommitOrderObjects, ObserverSkip,
+                         ::testing::Values(Protocol::kDynamic,
+                                           Protocol::kHybrid,
+                                           Protocol::kTwoPhase,
+                                           Protocol::kCommutativity),
+                         [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+class ObserverForced : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(ObserverForced, ObserverOnlyUpdateIsStillForced) {
+  // A static or timestamp read constrains later writers below its start
+  // timestamp, and OCC/MVCC validate at commit: these keep the record.
+  ObserverBank bank(GetParam());
+  const std::size_t records = bank.rt.tm().log().size();
+  const std::uint64_t forces = bank.rt.tm().log().group_stats().forces;
+
+  bank.commit_update([&](Transaction& txn) {
+    EXPECT_EQ(bank.a->invoke(txn, account::balance()), Value{10});
+  });
+
+  EXPECT_EQ(bank.rt.tm().log().size(), records + 1);
+  EXPECT_EQ(bank.rt.tm().log().group_stats().forces, forces + 1);
+  EXPECT_EQ(bank.rt.tm().pipeline_stats().unforced_commits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(StartOrderAndValidatingObjects, ObserverForced,
+                         ::testing::Values(Protocol::kStatic,
+                                           Protocol::kTimestamp,
+                                           Protocol::kOcc, Protocol::kMvcc),
+                         [](const auto& info) {
+                           return to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // LamportClock hand-offs under stress: the turn and coverage waits spin

@@ -9,17 +9,29 @@
 //     certifies all of them; sleep sets prune commuting steps on
 //     disjoint objects; the seeded chaos-admission regression is caught
 //     and auto-minimized to a replayable schedule string;
-//   * SchedMode::kOs stays the default and carries no policy.
+//   * SchedMode::kOs stays the default and carries no policy;
+//   * a crash while an unforced (observer-only) commit waits for its
+//     apply turn aborts it;
+//   * executor workers as lanes: deadlock victims back off in virtual
+//     time, every task commits within a few attempts, runs replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/scope_guard.h"
 #include "core/runtime.h"
 #include "dsched/task_lane.h"
+#include "sched/executor.h"
+#include "sched/factory.h"
 #include "sim/sched_explore.h"
+#include "spec/adts/bank_account.h"
 #include "test_util.h"
 
 namespace argus {
@@ -197,6 +209,189 @@ TEST(SchedMode, DeterministicRequiresAPolicy) {
   EXPECT_THROW(Runtime(Runtime::RecorderMode::kFlight,
                        SchedMode::kDeterministic, nullptr),
                UsageError);
+}
+
+// ---------------------------------------------------------------------------
+// The unforced commit's crash window under the cooperative scheduler
+
+TEST(DschedCrash, ObserverWaitingForItsTurnAbortsWithTheCrash) {
+  // Lane "writer" forces a deposit into a held flush; lane "observer"
+  // commits an observer-only update behind it (no force of its own) and
+  // waits for its apply turn; lane "crasher" crashes the node once both
+  // are in flight and the observer has had time to reach the turn wait.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomScheduleSource source(seed);
+    source.begin_run();
+    DeterministicScheduler sched(source);
+    Runtime rt(Runtime::RecorderMode::kFlight, SchedMode::kDeterministic,
+               &sched);
+    const auto release_guard = on_scope_exit([&] { sched.release(); });
+    auto a = rt.create_dynamic<BankAccountAdt>("a");
+    auto b = rt.create_dynamic<BankAccountAdt>("b");
+    {
+      auto setup = rt.begin();
+      a->invoke(*setup, account::deposit(10));
+      b->invoke(*setup, account::deposit(20));
+      rt.commit(setup);
+    }
+    rt.tm().log().hold_flushes();
+
+    std::optional<AbortReason> writer_abort;
+    std::optional<AbortReason> observer_abort;
+    ActivityId observer_id{};
+    const auto in_flight = [&](std::size_t n) {
+      while (rt.tm().clock().inflight() < n) {
+        sched.yield(LaneHint{WaitPoint::kTxnBegin});
+      }
+    };
+    sched.spawn("writer", [&] {
+      auto t = rt.begin();
+      a->invoke(*t, account::deposit(5));
+      try {
+        rt.commit(t);
+      } catch (const TransactionAborted& e) {
+        writer_abort = e.reason();
+      }
+    });
+    sched.spawn("observer", [&] {
+      in_flight(1);
+      auto t = rt.begin();
+      observer_id = t->id();
+      b->invoke(*t, account::balance());
+      try {
+        rt.commit(t);
+      } catch (const TransactionAborted& e) {
+        observer_abort = e.reason();
+      }
+    });
+    sched.spawn("crasher", [&] {
+      in_flight(2);
+      for (int i = 0; i < 32; ++i) sched.yield(LaneHint{WaitPoint::kTxnBegin});
+      rt.crash();
+      rt.tm().log().release_flushes();
+    });
+    sched.run();
+    ASSERT_FALSE(sched.overflowed());
+    EXPECT_TRUE(sched.lane_errors().empty());
+
+    ASSERT_TRUE(writer_abort.has_value());
+    EXPECT_EQ(*writer_abort, AbortReason::kCrash);
+    ASSERT_TRUE(observer_abort.has_value());
+    EXPECT_EQ(*observer_abort, AbortReason::kCrash);
+    const History h = rt.history();
+    for (const Event& e : h.events()) {
+      if (e.activity == observer_id) {
+        EXPECT_NE(e.kind, EventKind::kCommit);
+      }
+    }
+    rt.recover();
+    EXPECT_EQ(rt.tm().log().size(), 1u);
+    EXPECT_EQ(a->committed_state(), 10);
+    EXPECT_EQ(b->committed_state(), 20);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lock-mode retries under the cooperative scheduler: executor workers are
+// lanes, deadlock victims back off in virtual time, and every task
+// commits within a few attempts.
+
+struct ExecutorRun {
+  std::string schedule;
+  std::uint64_t tasks{0};
+  std::uint64_t committed{0};
+  std::uint64_t max_attempts{0};
+  std::uint64_t deadlocks{0};
+  std::string metrics;
+};
+
+ExecutorRun run_audits_beside_transfers(std::uint64_t seed) {
+  RandomScheduleSource source(seed);
+  source.begin_run();
+  DeterministicScheduler sched(source);
+  Runtime rt(Runtime::RecorderMode::kOff, SchedMode::kDeterministic, &sched);
+  const auto release_guard = on_scope_exit([&] { sched.release(); });
+  auto a = make_object<BankAccountAdt>(rt, Protocol::kTwoPhase, "a");
+  auto b = make_object<BankAccountAdt>(rt, Protocol::kTwoPhase, "b");
+  {
+    auto setup = rt.begin();
+    a->invoke(*setup, account::deposit(10));
+    b->invoke(*setup, account::deposit(10));
+    rt.commit(setup);
+  }
+  rt.set_wait_timeout_all(std::chrono::milliseconds(50));
+
+  ExecutorRun out;
+  std::mutex out_mu;
+  ExecutorOptions options;
+  options.workers = 2;
+  options.thread_factory = [&sched](const std::string& name,
+                                    std::function<void()> body) {
+    sched.spawn(name, std::move(body));
+  };
+  TxnExecutor pool(rt, options, [&](const TxnExecutor::Outcome& o) {
+    const std::scoped_lock lock(out_mu);
+    ++out.tasks;
+    if (o.committed) ++out.committed;
+    out.max_attempts = std::max(out.max_attempts, o.attempts);
+  });
+  // Audits read a then b; transfers write b then a: opposite orders, so
+  // the two lanes deadlock whenever they interleave inside a pair.
+  sched.spawn("submitter", [&] {
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      pool.submit({"audit", TxnKind::kUpdate,
+                   [&](Transaction& t, SplitMix64&) {
+                     a->invoke(t, account::balance());
+                     b->invoke(t, account::balance());
+                   },
+                   2 * i});
+      pool.submit({"transfer", TxnKind::kUpdate,
+                   [&](Transaction& t, SplitMix64&) {
+                     if (b->invoke(t, account::withdraw(1)).is_unit()) {
+                       a->invoke(t, account::deposit(1));
+                     }
+                   },
+                   2 * i + 1});
+    }
+    pool.shutdown();
+  });
+  sched.run();
+  EXPECT_FALSE(sched.overflowed());
+  EXPECT_TRUE(sched.lane_errors().empty());
+  out.schedule = sched.schedule_string();
+  out.deadlocks = rt.tm().detector().deadlocks_resolved();
+  out.metrics = rt.metrics().prometheus_text();
+  return out;
+}
+
+TEST(DschedExecutor, DeadlockRetriesCommitWithinBoundedAttempts) {
+  std::uint64_t deadlocks = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ExecutorRun run = run_audits_beside_transfers(seed);
+    EXPECT_EQ(run.tasks, 12u);
+    EXPECT_EQ(run.committed, 12u);
+    // A retry keeps its first attempt's age, so a task loses only to
+    // older tasks, and with two workers there is at most one of those
+    // running at a time.
+    EXPECT_LE(run.max_attempts, 3u);
+    EXPECT_NE(run.metrics.find("argus_executor_attempts{le=\"+Inf\"} 12"),
+              std::string::npos);
+    if (run.max_attempts == 1) {
+      EXPECT_NE(run.metrics.find("argus_executor_attempts{le=\"1\"} 12"),
+                std::string::npos);
+    }
+    deadlocks += run.deadlocks;
+  }
+  EXPECT_GT(deadlocks, 0u) << "no seed interleaved a deadlock";
+}
+
+TEST(DschedExecutor, BackoffIsVirtualTimeSoRunsReplay) {
+  const ExecutorRun first = run_audits_beside_transfers(5);
+  const ExecutorRun second = run_audits_beside_transfers(5);
+  EXPECT_EQ(first.schedule, second.schedule);
+  EXPECT_EQ(first.deadlocks, second.deadlocks);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@
 // atomicity — §1, §3).
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <thread>
+
 #include "core/runtime.h"
+#include "dsched/wait_policy.h"
 #include "sched/factory.h"
 #include "spec/adts/bank_account.h"
 #include "spec/adts/fifo_queue.h"
@@ -152,6 +158,105 @@ TEST(Recovery, LogRecordsCarryResults) {
   ASSERT_EQ(records[0].entries.size(), 1u);
   ASSERT_EQ(records[0].entries[0].ops.size(), 2u);
   EXPECT_EQ(records[0].entries[0].ops[1].result, Value{kInsufficientFunds});
+}
+
+/// Reports when a committer parks for its apply turn; every wait is
+/// otherwise a plain bounded condition-variable round.
+class TurnWatchPolicy final : public WaitPolicy {
+ public:
+  std::uint64_t now_us() override { return 0; }
+  void yield(const LaneHint&) override {}
+  void wait_round(const LaneHint& hint, const void*,
+                  std::unique_lock<std::mutex>& lock,
+                  std::condition_variable& cv,
+                  std::chrono::microseconds) override {
+    if (hint.point == WaitPoint::kClockTurn) {
+      const std::scoped_lock watch(mu_);
+      turn_waits_ = true;
+      watch_cv_.notify_all();
+    }
+    cv.wait_for(lock, std::chrono::milliseconds(1));
+  }
+  void notify(const void*) override {}
+  void sleep_us(WaitPoint, std::uint64_t us) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+  }
+  void adopt_daemon(std::string) override {}
+  void retire_daemon() override {}
+
+  void await_turn_wait() {
+    std::unique_lock watch(mu_);
+    watch_cv_.wait(watch, [this] { return turn_waits_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable watch_cv_;
+  bool turn_waits_{false};
+};
+
+TEST(Recovery, CrashWhileAnObserverWaitsForItsTurnAbortsIt) {
+  // An observer-only update commits without a force, so no dropped
+  // record can abort it: a crash that fires while it waits behind a
+  // forcing commit must still abort it, and leave no commit of it.
+  TurnWatchPolicy policy;
+  Runtime rt(Runtime::RecorderMode::kFlight, SchedMode::kDeterministic,
+             &policy);
+  auto a = rt.create_dynamic<BankAccountAdt>("a");
+  auto b = rt.create_dynamic<BankAccountAdt>("b");
+  auto setup = rt.begin();
+  a->invoke(*setup, account::deposit(10));
+  b->invoke(*setup, account::deposit(20));
+  rt.commit(setup);
+  const std::size_t forced = rt.tm().log().size();
+
+  rt.tm().log().hold_flushes();
+  std::optional<AbortReason> writer_abort;
+  std::optional<AbortReason> observer_abort;
+  auto writer = rt.begin();
+  a->invoke(*writer, account::deposit(5));
+  std::thread writer_thread([&] {
+    try {
+      rt.commit(writer);
+    } catch (const TransactionAborted& e) {
+      writer_abort = e.reason();
+    }
+  });
+  while (rt.tm().clock().inflight() == 0) std::this_thread::yield();
+  auto observer = rt.begin();
+  EXPECT_EQ(b->invoke(*observer, account::balance()), Value{20});
+  std::thread observer_thread([&] {
+    try {
+      rt.commit(observer);
+    } catch (const TransactionAborted& e) {
+      observer_abort = e.reason();
+    }
+  });
+  policy.await_turn_wait();  // the observer waits behind the writer
+
+  rt.crash();
+  rt.tm().log().release_flushes();
+  writer_thread.join();
+  observer_thread.join();
+
+  ASSERT_TRUE(writer_abort.has_value());
+  EXPECT_EQ(*writer_abort, AbortReason::kCrash);
+  ASSERT_TRUE(observer_abort.has_value());
+  EXPECT_EQ(*observer_abort, AbortReason::kCrash);
+  EXPECT_EQ(observer->state(), TxnState::kAborted);
+  const History h = rt.history();
+  for (const Event& e : h.events()) {
+    if (e.activity == observer->id()) {
+      EXPECT_NE(e.kind, EventKind::kCommit);
+    }
+  }
+  EXPECT_EQ(rt.tm().pipeline_stats().unforced_commits, 0u);
+  EXPECT_EQ(rt.tm().clock().inflight(), 0u);
+
+  rt.recover();
+  EXPECT_EQ(rt.tm().log().size(), forced);
+  EXPECT_EQ(a->committed_state(), 10);
+  EXPECT_EQ(b->committed_state(), 20);
 }
 
 class RecoveryAcrossProtocols : public ::testing::TestWithParam<Protocol> {};
