@@ -1,20 +1,15 @@
 #include "dist/decision_log.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "fault/fault.h"
 
 namespace argus {
 
-bool DecisionLog::force_decision(ActivityId gid, Timestamp decision,
-                                 const std::vector<std::size_t>& parts) {
-  if (FaultInjector* inj = fault_.load(std::memory_order_acquire)) {
-    if (inj->on_decision_force()) {
-      const std::scoped_lock lock(mu_);
-      ++stats_.force_failures;
-      return false;
-    }
-  }
+DecisionLog::PendingDecision DecisionLog::submit_decision(
+    ActivityId gid, Timestamp decision,
+    const std::vector<std::size_t>& parts) {
   CommitLogRecord rec;
   rec.txn = gid;
   rec.commit_ts = decision;
@@ -23,37 +18,52 @@ bool DecisionLog::force_decision(ActivityId gid, Timestamp decision,
   for (const std::size_t site : parts) {
     rec.entries.push_back({ObjectId{site}, {}});
   }
-  log_.append(std::move(rec));
-  const std::scoped_lock lock(mu_);
-  ++stats_.logged;
-  return true;
+  return log_.submit_force(std::move(rec));
+}
+
+AppendResult DecisionLog::await_decision(PendingDecision pending) {
+  if (FaultInjector* inj = fault_.load(std::memory_order_acquire)) {
+    if (inj->on_decision_force()) {
+      const std::scoped_lock lock(mu_);
+      ++stats_.force_failures;
+      return AppendResult::kIoError;
+    }
+  }
+  const AppendResult result = log_.await_forced(std::move(pending));
+  if (result == AppendResult::kForced) {
+    const std::scoped_lock lock(mu_);
+    ++stats_.logged;
+  }
+  return result;
 }
 
 void DecisionLog::ack(ActivityId gid, std::size_t site_index) {
   const std::scoped_lock lock(mu_);
-  if (acks_[gid].insert(site_index).second) ++stats_.acks;
+  if (acks_[gid].insert(site_index).second) {
+    ++stats_.acks;
+    acked_since_checkpoint_.push_back(gid);
+  }
 }
 
 std::size_t DecisionLog::checkpoint() {
+  const std::scoped_lock lock(mu_);
   std::size_t removed = 0;
-  for (const Decision& d : replay()) {
-    bool complete = true;
-    {
-      const std::scoped_lock lock(mu_);
-      const auto it = acks_.find(d.gid);
-      for (const std::size_t site : d.participants) {
-        if (it == acks_.end() || !it->second.contains(site)) {
-          complete = false;
-          break;
-        }
-      }
-    }
+  for (const ActivityId gid : acked_since_checkpoint_) {
+    const auto it = acks_.find(gid);
+    if (it == acks_.end()) continue;  // already truncated
+    const std::set<std::size_t>& acked = it->second;
+    const bool complete =
+        log_.remove_record_if(gid, [&](const CommitLogRecord& rec) {
+          return std::ranges::all_of(rec.entries, [&](const auto& entry) {
+            return acked.contains(static_cast<std::size_t>(entry.object.value));
+          });
+        });
     if (!complete) continue;
-    if (log_.remove_record(d.gid)) ++removed;
-    const std::scoped_lock lock(mu_);
-    acks_.erase(d.gid);
+    acks_.erase(it);
+    ++removed;
     ++stats_.truncated;
   }
+  acked_since_checkpoint_.clear();
   return removed;
 }
 
@@ -77,8 +87,12 @@ std::vector<DecisionLog::Decision> DecisionLog::replay() const {
 }
 
 void DecisionLog::crash() {
-  const std::scoped_lock lock(mu_);
-  acks_.clear();
+  {
+    const std::scoped_lock lock(mu_);
+    acks_.clear();
+    acked_since_checkpoint_.clear();
+  }
+  log_.drop_pending();
 }
 
 DecisionLog::Stats DecisionLog::stats() const {

@@ -8,6 +8,15 @@
 // replayed at coordinator restart. Presumed abort is preserved: only
 // commits are logged, so a gid absent from the log is an abort.
 //
+// The force is split into submit and await (StableLog::submit_force),
+// so the coordinator can submit it beside the participants' prepare
+// forces and pay one device round trip per 2PC instead of two. The
+// decision becomes stable only in await_decision(), which the
+// coordinator calls after every prepare has been awaited stable; a
+// pending decision that is never awaited (a veto, a coordinator crash)
+// simply never becomes stable, and crash() makes any later await of it
+// return kDropped.
+//
 // Record encoding: txn = the global transaction id, commit_ts = the
 // decision timestamp G, and one entry per participant whose ObjectId
 // holds the participant's *site index* (the decision log tracks sites,
@@ -20,9 +29,12 @@
 // Truncation is safe because a full ack set means every participant's
 // *own* stable log carries the commit — no in-doubt prepared record for
 // that gid can ever reappear, so nobody will ask the coordinator again.
-// A coordinator crash loses the ack table; recovery re-syncs it from the
-// participants' stable logs (StableLog::committed_ts) and checkpoints
-// again, so truncation survives failover without ever being unsafe.
+// A decision can only become fully acknowledged by an ack, so
+// checkpoint() examines just the gids acknowledged since the last one,
+// by id, without copying the log. A coordinator crash loses the ack
+// table; recovery re-syncs it from the participants' stable logs
+// (StableLog::committed_ts) and checkpoints again, so truncation
+// survives failover without ever being unsafe.
 #pragma once
 
 #include <atomic>
@@ -66,12 +78,21 @@ class DecisionLog {
     log_.set_force_delay(delay);
   }
 
-  /// Force-writes one commit decision before delivery. Returns false if
-  /// an injected force failure lost it — nothing is stable then, and the
-  /// coordinator must abort the transaction globally (it never delivered
-  /// a commit it could not remember).
-  [[nodiscard]] bool force_decision(ActivityId gid, Timestamp decision,
-                                    const std::vector<std::size_t>& parts);
+  /// A decision force submitted but not yet awaited.
+  using PendingDecision = StableLog::PendingForce;
+
+  /// Submits the force of one commit decision without waiting for it.
+  /// Nothing is stable until await_decision().
+  [[nodiscard]] PendingDecision submit_decision(
+      ActivityId gid, Timestamp decision,
+      const std::vector<std::size_t>& parts);
+
+  /// Draws the decision-force fault, then waits for the submitted force.
+  /// kForced: the decision is stable, and may be delivered. kIoError: an
+  /// injected force failure lost it; kDropped: a crash() ran since
+  /// submission. On either nothing is stable, and the coordinator never
+  /// delivers a commit it could not remember.
+  [[nodiscard]] AppendResult await_decision(PendingDecision pending);
 
   /// One participant acknowledges having durably applied the decision.
   void ack(ActivityId gid, std::size_t site_index);
@@ -90,8 +111,9 @@ class DecisionLog {
   /// Stable decisions awaiting truncation.
   [[nodiscard]] std::size_t outstanding() const { return log_.size(); }
 
-  /// Coordinator crash: the volatile ack table is lost; stable decisions
-  /// survive (that is the whole point).
+  /// Coordinator crash: the volatile ack table is lost and a pending
+  /// decision is dropped; stable decisions survive (that is the whole
+  /// point).
   void crash();
 
   [[nodiscard]] Stats stats() const;
@@ -102,6 +124,7 @@ class DecisionLog {
 
   mutable std::mutex mu_;  // ack table + counters
   std::map<ActivityId, std::set<std::size_t>> acks_;
+  std::vector<ActivityId> acked_since_checkpoint_;
   Stats stats_;
 };
 

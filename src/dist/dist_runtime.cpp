@@ -413,11 +413,17 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
   struct Submitted {
     Site* site;
     DistTxn::Part* part;
-    StableLog::PendingPrepare pending;
+    StableLog::PendingForce pending;
   };
   std::vector<Submitted> submitted;
   submitted.reserve(t.parts_.size());
   std::optional<AbortReason> submit_veto;
+  // Decision: commit at G = max(proposals). Disjoint clock residue
+  // classes make G globally unique, and G >= every local proposal, so
+  // each participant's re-stamp is an order-preserving move. Each
+  // proposal is drawn before its prepare is submitted, so G is known
+  // once the last one is.
+  Timestamp decision = kNoTimestamp;
   for (auto& [idx, part] : t.parts_) {
     tick_site_faults();
     Site& s = *sites_[idx];
@@ -432,7 +438,7 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
       submit_veto = AbortReason::kUnavailable;
       break;
     }
-    std::optional<StableLog::PendingPrepare> pending =
+    std::optional<StableLog::PendingForce> pending =
         s.tm().submit_prepare_2pc(part.txn);
     if (!pending.has_value()) {
       // The local transaction is already aborted (validation veto, or a
@@ -441,14 +447,27 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
           s.up() ? AbortReason::kValidation : AbortReason::kUnavailable;
       break;
     }
+    decision = std::max(decision, part.txn->commit_ts());
     submitted.push_back({&s, &part, std::move(*pending)});
+  }
+  // The decision is force-written to the DecisionLog *before* any
+  // delivery (write-ahead for the decision itself): that is what lets a
+  // participant — or the coordinator — that fails from here on resolve
+  // the in-doubt record later (presumed abort for everything not
+  // logged). Its force is submitted now, beside the prepares, so all of
+  // the 2PC's forces share one device round trip; it becomes stable
+  // only when awaited below, after every prepare was awaited stable. A
+  // veto or a coordinator crash before that await drops it.
+  std::optional<DecisionLog::PendingDecision> pending_decision;
+  if (!submit_veto.has_value()) {
+    pending_decision =
+        decision_log_.submit_decision(t.gid_, decision, t.participants());
   }
   // Every submitted force is awaited, even after a veto, so each
   // participant ends either prepared (and abort_parts drops its record)
   // or already aborted locally — never with a force still in flight. The
   // veto reported is the first in site order.
   std::optional<AbortReason> veto;
-  Timestamp decision = kNoTimestamp;
   for (Submitted& sub : submitted) {
     const std::optional<Timestamp> proposal =
         sub.site->tm().await_prepare_2pc(sub.part->txn, std::move(sub.pending));
@@ -465,7 +484,6 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     }
     sub.part->prepared = true;
     sub.part->proposal = *proposal;
-    decision = std::max(decision, *proposal);
   }
   if (!veto.has_value()) veto = submit_veto;
 
@@ -488,16 +506,17 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     coordinator_died(t, std::nullopt);  // throws
   }
 
-  // Decision: commit at G = max(proposals). Disjoint clock residue
-  // classes make G globally unique, and G >= every local proposal, so
-  // each participant's re-stamp is an order-preserving move. The
-  // decision is force-written to the DecisionLog *before* any delivery
-  // (write-ahead for the decision itself): that is what lets a
-  // participant — or the coordinator — that fails from here on resolve
-  // the in-doubt record later (presumed abort for everything not
-  // logged).
+  // Await the decision. Every participant holds a stable prepared record
+  // by now, so a stable decision can always be delivered.
   tick_site_faults();
-  if (!decision_log_.force_decision(t.gid_, decision, t.participants())) {
+  const AppendResult decided =
+      decision_log_.await_decision(std::move(*pending_decision));
+  if (decided == AppendResult::kDropped) {
+    // The coordinator crashed while its decision was pending: nothing
+    // stable names the gid, exactly as after a kCoordPostPrepare crash.
+    coordinator_died(t, std::nullopt);  // throws
+  }
+  if (decided == AppendResult::kIoError) {
     // The decision force failed: nothing stable names the gid, so the
     // only safe outcome is a global abort — the coordinator must never
     // deliver a commit it could not remember.

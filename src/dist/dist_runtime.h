@@ -40,7 +40,9 @@
 //     before delivery (presumed abort for everything else), so a
 //     participant that fails between prepare and delivery resolves its
 //     in-doubt record at recovery: promote+replay if the gid is logged,
-//     drop if not. Single-participant transactions take the ordinary
+//     drop if not. The decision's force is submitted beside the
+//     prepares and awaited after them, so a 2PC pays one device round
+//     trip. Single-participant transactions take the ordinary
 //     one-phase pipeline — no coordinator lock — which is what keeps
 //     disjoint per-site workloads scaling (bench_distributed).
 //

@@ -120,7 +120,7 @@ std::shared_ptr<Transaction> TransactionManager::begin_read_only(
   return t;
 }
 
-std::optional<StableLog::PendingPrepare>
+std::optional<StableLog::PendingForce>
 TransactionManager::submit_prepare_2pc(const std::shared_ptr<Transaction>& t) {
   if (t->state() != TxnState::kActive) return std::nullopt;
   if (t->doomed()) {
@@ -155,11 +155,11 @@ TransactionManager::submit_prepare_2pc(const std::shared_ptr<Transaction>& t) {
     return std::nullopt;
   }
   t->set_commit_ts(ts);
-  return log_.submit_prepared(build_record(*t, objects, ts));
+  return log_.submit_force(build_record(*t, objects, ts));
 }
 
 std::optional<Timestamp> TransactionManager::await_prepare_2pc(
-    const std::shared_ptr<Transaction>& t, StableLog::PendingPrepare pending) {
+    const std::shared_ptr<Transaction>& t, StableLog::PendingForce pending) {
   const AppendResult forced = log_.await_prepared(std::move(pending));
   if (forced != AppendResult::kForced) {
     clock_.finish_commit(t->commit_ts());

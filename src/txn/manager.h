@@ -151,7 +151,7 @@ class TransactionManager {
   /// holding an in-flight clock entry at its proposed timestamp
   /// (t->commit_ts()), and the caller must pass the returned pending
   /// force to await_prepare_2pc.
-  std::optional<StableLog::PendingPrepare> submit_prepare_2pc(
+  std::optional<StableLog::PendingForce> submit_prepare_2pc(
       const std::shared_ptr<Transaction>& t);
 
   /// Phase 1, second half. On success the transaction stays active with
@@ -160,7 +160,7 @@ class TransactionManager {
   /// abort_prepared / detach_prepared. On failure the in-flight entry is
   /// retired and the transaction aborted.
   std::optional<Timestamp> await_prepare_2pc(
-      const std::shared_ptr<Transaction>& t, StableLog::PendingPrepare pending);
+      const std::shared_ptr<Transaction>& t, StableLog::PendingForce pending);
 
   /// Phase 2, commit. `global_ts` is the coordinator's decision
   /// timestamp (>= the local proposal; equal for single-participant

@@ -43,22 +43,6 @@ void StableLog::insert_forced_locked(CommitLogRecord record) {
   records_.insert(pos, std::move(record));
 }
 
-void StableLog::append(CommitLogRecord record) {
-  // A group of one still pays a full storage round trip — the same
-  // simulated force latency the group-commit leader pays per batch.
-  std::chrono::microseconds delay;
-  {
-    const auto lock = adaptive_lock(mu_);
-    delay = force_delay_;
-  }
-  sleep_for_us(policy_.load(std::memory_order_acquire), delay.count());
-  const auto lock = adaptive_lock(mu_);
-  insert_forced_locked(std::move(record));
-  ++stats_.forces;
-  ++stats_.records_forced;
-  stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, 1);
-}
-
 AppendResult StableLog::append_group(CommitLogRecord record) {
   auto slot = std::make_shared<Slot>();
   slot->record = std::move(record);
@@ -183,10 +167,10 @@ AppendResult StableLog::append_group(CommitLogRecord record) {
   }
 }
 
-StableLog::PendingPrepare StableLog::submit_prepared(CommitLogRecord record) {
+StableLog::PendingForce StableLog::submit_force(CommitLogRecord record) {
   WaitPolicy* policy = policy_.load(std::memory_order_acquire);
   FaultInjector* fault = fault_.load(std::memory_order_acquire);
-  PendingPrepare pending;
+  PendingForce pending;
   pending.record = std::move(record);
   std::chrono::microseconds base_delay;
   {
@@ -194,10 +178,10 @@ StableLog::PendingPrepare StableLog::submit_prepared(CommitLogRecord record) {
     base_delay = force_delay_;
     pending.generation = generation_;
   }
-  // The prepare force is its own storage round trip, not part of a group
-  // batch. Every attempt's decision is drawn now, in the order the
-  // attempts would reach the device, and the device time they add up to
-  // is when the force completes.
+  // The force is its own storage round trip, not part of a group batch.
+  // Every attempt's decision is drawn now, in the order the attempts
+  // would reach the device, and the device time they add up to is when
+  // the force completes.
   std::chrono::microseconds busy{0};
   std::uint32_t failures = 0;
   for (std::uint32_t attempts = 0;;) {
@@ -221,16 +205,36 @@ StableLog::PendingPrepare StableLog::submit_prepared(CommitLogRecord record) {
   return pending;
 }
 
-AppendResult StableLog::await_prepared(PendingPrepare pending) {
+std::unique_lock<std::mutex> StableLog::await_device(
+    const PendingForce& pending, AppendResult& result) {
   WaitPolicy* policy = policy_.load(std::memory_order_acquire);
   sleep_for_us(policy, pending.done_at_us - now_us(policy));
-  const auto lock = adaptive_lock(mu_);
-  if (generation_ != pending.generation) return AppendResult::kDropped;
-  if (pending.result != AppendResult::kForced) return pending.result;
-  ++stats_.forces;
-  ++stats_.prepared_forces;
-  prepared_.push_back(std::move(pending.record));
-  return AppendResult::kForced;
+  auto lock = adaptive_lock(mu_);
+  result = generation_ != pending.generation ? AppendResult::kDropped
+                                             : pending.result;
+  if (result == AppendResult::kForced) ++stats_.forces;
+  return lock;
+}
+
+AppendResult StableLog::await_prepared(PendingForce pending) {
+  AppendResult result{};
+  const auto lock = await_device(pending, result);
+  if (result == AppendResult::kForced) {
+    ++stats_.prepared_forces;
+    prepared_.push_back(std::move(pending.record));
+  }
+  return result;
+}
+
+AppendResult StableLog::await_forced(PendingForce pending) {
+  AppendResult result{};
+  const auto lock = await_device(pending, result);
+  if (result == AppendResult::kForced) {
+    ++stats_.records_forced;
+    stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, 1);
+    insert_forced_locked(std::move(pending.record));
+  }
+  return result;
 }
 
 bool StableLog::promote_prepared(ActivityId txn, Timestamp commit_ts) {
@@ -325,13 +329,15 @@ std::optional<Timestamp> StableLog::committed_ts(ActivityId txn) const {
   return std::nullopt;
 }
 
-bool StableLog::remove_record(ActivityId txn) {
+bool StableLog::remove_record_if(
+    ActivityId txn,
+    const std::function<bool(const CommitLogRecord&)>& complete) {
   const auto lock = adaptive_lock(mu_);
-  for (auto it = records_.begin(); it != records_.end(); ++it) {
-    if (it->txn == txn) {
-      records_.erase(it);
-      return true;
-    }
+  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+    if (it->txn != txn) continue;
+    if (!complete(*it)) return false;
+    records_.erase(std::next(it).base());
+    return true;
   }
   return false;
 }

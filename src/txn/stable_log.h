@@ -22,6 +22,13 @@
 // set_force_delay() models the latency of a real force (fsync); the
 // leader pays it once per batch.
 //
+// Outside group commit, a force can be split into submit_force() and an
+// await: the 2PC participants' prepared records and the coordinator's
+// decision record (dist/DecisionLog) all use it, so one 2PC can hold
+// every device's force in flight at once. Submission fixes the force's
+// outcome and its device completion time; the record becomes stable only
+// in the await, and a drop_pending() in between drops it.
+//
 // Failure semantics under fault injection (set_fault_injector): a force
 // attempt may fail transiently — the leader retries with linear backoff
 // and, once retries are exhausted, the whole batch fails as an I/O error
@@ -37,6 +44,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -94,10 +102,6 @@ class StableLog {
  public:
   StableLog() = default;
 
-  /// Forces a single commit record to stable storage (a group of one).
-  /// Once append returns, the record survives crash().
-  void append(CommitLogRecord record);
-
   /// Group commit: enqueues the record and blocks until a flush leader
   /// forces the batch containing it. kForced means the record is stable;
   /// on kDropped / kIoError nothing was applied and the caller must
@@ -105,29 +109,30 @@ class StableLog {
   [[nodiscard]] AppendResult append_group(CommitLogRecord record);
 
   /// Crash path: discards every record not yet forced and fails its
-  /// waiting append_group() call, and every submitted prepare not yet
+  /// waiting append_group() call, and every submitted force not yet
   /// awaited. Records already forced are untouched — including awaited
   /// prepared records, which is the point of 2PC: a prepared participant
   /// that crashes can still learn the outcome after recovery.
   void drop_pending();
 
-  // --- 2PC participant records ------------------------------------------
+  // --- Submit/await forces (2PC) ----------------------------------------
   //
-  // Prepare forces the record under the participant's *proposed* local
-  // timestamp, but the record is not yet committed: it sits in a separate
+  // A force outside group commit is split into submit and await, so a
+  // caller can have several devices' forces in flight at once. Two users
+  // share it. A 2PC participant's prepared record is forced under its
+  // *proposed* local timestamp but not committed: it sits in a separate
   // prepared set until the coordinator's decision arrives. promote moves
   // it into the committed log re-stamped with the global decision
   // timestamp; drop discards it (abort, or presumed abort on recovery).
-  // The prepare force is split into submit and await, so a coordinator
-  // can have every participant's force in flight at once. Once awaited,
-  // a prepared record survives crash() / drop_pending() exactly like a
-  // forced record; a crash between submit and await drops it, so that
-  // participant is never in doubt.
+  // The coordinator's decision record goes straight into the committed
+  // log. Once awaited, either record survives crash() / drop_pending()
+  // exactly like a group-forced record; a drop_pending() between submit
+  // and await drops it, so a crash never leaves half a force stable.
 
-  /// A prepared record whose force has been submitted but not yet
-  /// awaited. The force's outcome and completion time are fixed at
-  /// submission; the record becomes stable only in await_prepared().
-  struct PendingPrepare {
+  /// A force that has been submitted but not yet awaited. Its outcome
+  /// and completion time are fixed at submission; the record becomes
+  /// stable only in await_prepared() or await_forced().
+  struct PendingForce {
     CommitLogRecord record;
     AppendResult result{AppendResult::kForced};  // kForced or kIoError
     /// Device completion, in µs of the clock the log sleeps on (virtual
@@ -136,19 +141,24 @@ class StableLog {
     std::uint64_t generation{0};  // drop_pending() since submit = dropped
   };
 
-  /// Submits a prepared record's force without waiting for it. Draws
-  /// every fault decision of the force up front, in the order a blocking
-  /// force would (latency, failures, retries and their backoff), and
-  /// from them fixes when the simulated device completes. Several sites'
-  /// prepares can thus be in flight at once; the caller awaits each.
-  [[nodiscard]] PendingPrepare submit_prepared(CommitLogRecord record);
+  /// Submits a record's force without waiting for it. Draws every fault
+  /// decision of the force up front, in the order a blocking force would
+  /// (latency, failures, retries and their backoff), and from them fixes
+  /// when the simulated device completes. The caller awaits it once,
+  /// with await_prepared() or await_forced().
+  [[nodiscard]] PendingForce submit_force(CommitLogRecord record);
 
-  /// Waits until a submitted prepare's device completion time, then
-  /// makes the record stable (it enters prepared_records()). kIoError
-  /// means the force failed after exhausting its retries; kDropped
-  /// means a drop_pending() (a crash) ran after submission, so the
-  /// record never became stable. On either the participant vetoes.
-  [[nodiscard]] AppendResult await_prepared(PendingPrepare pending);
+  /// Waits until a submitted force's device completion time, then makes
+  /// the record stable as a prepared record (it enters
+  /// prepared_records()). kIoError means the force failed after
+  /// exhausting its retries; kDropped means a drop_pending() (a crash)
+  /// ran after submission, so the record never became stable. On either
+  /// the participant vetoes.
+  [[nodiscard]] AppendResult await_prepared(PendingForce pending);
+
+  /// As await_prepared(), but the record enters the committed log
+  /// (records()): the coordinator's decision force.
+  [[nodiscard]] AppendResult await_forced(PendingForce pending);
 
   /// Commits a prepared record: moves it into the committed log with
   /// commit_ts replaced by the coordinator's decision timestamp. Returns
@@ -215,10 +225,13 @@ class StableLog {
   /// re-syncs its volatile ack table from participants' stable state.
   [[nodiscard]] std::optional<Timestamp> committed_ts(ActivityId txn) const;
 
-  /// Removes one forced record by activity id (decision-log
-  /// checkpointing: a decision every participant has acknowledged can be
-  /// truncated). Returns false if no record for `txn` exists.
-  bool remove_record(ActivityId txn);
+  /// Removes `txn`'s forced record if `complete(record)` holds
+  /// (decision-log checkpointing: a decision every participant has
+  /// acknowledged can be truncated). Searches from the newest record.
+  /// Returns false if no record for `txn` exists or it is not complete.
+  bool remove_record_if(
+      ActivityId txn,
+      const std::function<bool(const CommitLogRecord&)>& complete);
 
   [[nodiscard]] std::size_t size() const;
 
@@ -233,6 +246,12 @@ class StableLog {
     CommitLogRecord record;
     SlotState state{SlotState::kQueued};
   };
+
+  /// Sleeps until `pending`'s device completion, then takes the lock
+  /// and sets `result`: kForced (a force is counted) if the record may
+  /// become stable now.
+  std::unique_lock<std::mutex> await_device(const PendingForce& pending,
+                                            AppendResult& result);
 
   /// Inserts a forced record keeping records_ sorted by commit_ts.
   /// Batches can force out of timestamp order (a later-stamped committer

@@ -1,15 +1,18 @@
-// Multi-site runtime tests: 2PC happy path, overlapped prepare forces
-// and coordinator aborts, available-copies read/write semantics, the
-// failure rule, stale-read prevention after recovery, and cross-site
+// Multi-site runtime tests: 2PC happy path, prepare and decision forces
+// overlapped, coordinator aborts, available-copies read/write semantics,
+// the failure rule, stale-read prevention after recovery, and cross-site
 // certification of the merged history. Replaces the old remote_object_test (simulated RPC latency on
 // a single runtime) — sites are now full runtimes with their own commit
 // pipelines and stable logs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/atomicity.h"
@@ -635,9 +638,10 @@ void transfer_ten(DistRuntime& dist) {
 }
 
 TEST(DistRuntime, PrepareForcesOverlapAcrossParticipants) {
-  // Every force, prepare and decision alike, takes a fixed latency L. A
-  // 2PC over two sites pays max(prepare forces) + decision force = 2L,
-  // not the serial 3L; the bound sits halfway so a loaded host passes.
+  // Every force, prepare and decision alike, takes a fixed latency L. The
+  // decision force is submitted beside the prepares, so a 2PC over two
+  // sites pays one L, not the serial 3L nor the 2L of a decision forced
+  // after the votes; the bound sits halfway so a loaded host passes.
   constexpr auto kForce = std::chrono::milliseconds(30);
   const auto distp = make_funded_pair();
   DistRuntime& dist = *distp;
@@ -647,13 +651,15 @@ TEST(DistRuntime, PrepareForcesOverlapAcrossParticipants) {
       std::chrono::microseconds(kForce).count());
   dist.set_fault_plan(plan);
   dist.decision_log().set_force_delay(kForce);
+  const std::uint64_t logged = dist.decision_log().stats().logged;
 
   const auto start = std::chrono::steady_clock::now();
   transfer_ten(dist);
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(elapsed, 2 * kForce) << "the forces are still paid";
-  EXPECT_LT(elapsed, 5 * kForce / 2)
-      << "the prepare forces ran one after the other";
+  EXPECT_GE(elapsed, kForce) << "the forces are still paid";
+  EXPECT_LT(elapsed, 3 * kForce / 2)
+      << "the decision or a prepare force waited for another force";
+  EXPECT_EQ(dist.decision_log().stats().logged, logged + 1);
 
   EXPECT_EQ(dist.stats().two_pc_commits, 2u);
   for (std::size_t i = 0; i < dist.site_count(); ++i) {
@@ -735,6 +741,152 @@ TEST(DistRuntime, VetoAtTheSecondParticipantUnwindsTheFirst) {
   EXPECT_EQ(read_balance(dist, "s0"), 100);
   EXPECT_EQ(read_balance(dist, "s1"), 100);
   certify_merged(dist);
+}
+
+// Every site up, nothing prepared or in flight anywhere, no decision
+// outstanding, s0 and s1 back at 100, and a certified merged history: a
+// 2PC that aborted left no trace.
+void expect_clean_abort(DistRuntime& dist) {
+  EXPECT_EQ(dist.decision_log().outstanding(), 0u);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    EXPECT_TRUE(dist.site(i).up());
+    EXPECT_TRUE(dist.site(i).tm().log().prepared_records().empty());
+    EXPECT_EQ(dist.site(i).tm().clock().inflight(), 0u);
+    dist.site(i).runtime().set_fault_injector(nullptr);
+  }
+  EXPECT_EQ(read_balance(dist, "s0"), 100);
+  EXPECT_EQ(read_balance(dist, "s1"), 100);
+  certify_merged(dist);
+}
+
+TEST(DistRuntime, VetoDiscardsThePendingDecision) {
+  // A veto never lets the decision become stable, whether it comes
+  // before the decision force is submitted (the prepare message to site
+  // 1 is lost) or after (site 1's prepare force fails while the decision
+  // force is pending).
+  {
+    SCOPED_TRACE("lost prepare message");
+    const auto distp = make_funded_pair();
+    DistRuntime& dist = *distp;
+    const std::uint64_t logged = dist.decision_log().stats().logged;
+    FaultPlan plan;
+    plan.msg_loss_permille = 500;
+    plan.msg_retries = 0;
+    plan.max_faults = 1;
+    dist.set_fault_plan(aimed(plan, [](FaultInjector& f) {
+      const bool first_lost = f.on_message(FaultSite::kMsgPrepare).lost;
+      return !first_lost && f.on_message(FaultSite::kMsgPrepare).lost;
+    }));
+    EXPECT_THROW(transfer_ten(dist), TransactionAborted);
+    EXPECT_EQ(dist.stats().msgs_lost, 1u);
+    EXPECT_EQ(dist.decision_log().stats().logged, logged);
+    expect_clean_abort(dist);
+  }
+  {
+    SCOPED_TRACE("failed prepare force");
+    const auto distp = make_funded_pair();
+    DistRuntime& dist = *distp;
+    const std::uint64_t logged = dist.decision_log().stats().logged;
+    FaultPlan plan;
+    plan.force_fail_permille = 500;
+    plan.force_max_retries = 0;
+    plan.max_faults = 1;
+    // Each site's injector runs on a seed derived from the plan's: aim
+    // the failure at site 1's prepare force, not site 0's.
+    for (plan.seed = 1;; ++plan.seed) {
+      dist.set_fault_plan(plan);
+      FaultInjector site0(dist.site(0).runtime().fault_injector()->plan());
+      FaultInjector site1(dist.site(1).runtime().fault_injector()->plan());
+      if (!site0.on_force(1).fail && site1.on_force(1).fail) break;
+    }
+    try {
+      transfer_ten(dist);
+      FAIL() << "a failed prepare force must veto";
+    } catch (const TransactionAborted& e) {
+      EXPECT_EQ(e.reason(), AbortReason::kValidation);
+    }
+    EXPECT_EQ(dist.site(0).tm().log().group_stats().prepared_dropped, 1u)
+        << "site 0 prepared while the decision force was pending";
+    EXPECT_EQ(dist.decision_log().stats().logged, logged);
+    expect_clean_abort(dist);
+  }
+}
+
+TEST(DistRuntime, DecisionForceFailureAfterStablePreparesAbortsEverywhere) {
+  // Both prepares are stable when the decision force fails: nothing
+  // stable names the gid, so the coordinator aborts at every participant
+  // instead of delivering a commit it could not remember.
+  const auto distp = make_funded_pair();
+  DistRuntime& dist = *distp;
+  const DecisionLog::Stats before = dist.decision_log().stats();
+  FaultPlan plan;
+  plan.decision_force_fail_permille = 500;
+  plan.max_faults = 1;
+  dist.set_fault_plan(aimed(
+      plan, [](FaultInjector& f) { return f.on_decision_force(); }));
+  try {
+    transfer_ten(dist);
+    FAIL() << "a failed decision force must abort";
+  } catch (const TransactionAborted& e) {
+    EXPECT_EQ(e.reason(), AbortReason::kIoError);
+  }
+  const DecisionLog::Stats after = dist.decision_log().stats();
+  EXPECT_EQ(after.force_failures, before.force_failures + 1);
+  EXPECT_EQ(after.logged, before.logged);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    const StableLog::GroupStats g = dist.site(i).tm().log().group_stats();
+    EXPECT_EQ(g.prepared_forces, 2u) << "site " << i;
+    EXPECT_EQ(g.prepared_dropped, 1u) << "site " << i;
+  }
+  expect_clean_abort(dist);
+}
+
+TEST(DistRuntime, OutsideCoordinatorCrashDropsThePendingDecision) {
+  // The coordinator crashes from another thread while the 2PC waits for
+  // its decision force. The pending decision never becomes stable, so
+  // the 2PC ends as after a kCoordPostPrepare crash: the prepared
+  // participants stay in doubt until recovery presumes abort.
+  constexpr auto kForce = std::chrono::milliseconds(500);
+  const auto distp = make_funded_pair();
+  DistRuntime& dist = *distp;
+  const std::uint64_t logged = dist.decision_log().stats().logged;
+  dist.decision_log().set_force_delay(kForce);
+
+  std::optional<AbortReason> aborted;
+  std::atomic<bool> finished{false};
+  std::thread committer([&] {
+    try {
+      transfer_ten(dist);
+    } catch (const TransactionAborted& e) {
+      aborted = e.reason();
+    }
+    finished = true;
+  });
+  // Both prepares are stable (their forces cost nothing) long before the
+  // decision force completes.
+  const auto prepared = [&] {
+    return !dist.site(0).tm().log().prepared_records().empty() &&
+           !dist.site(1).tm().log().prepared_records().empty();
+  };
+  while (!prepared() && !finished) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(finished) << "the 2PC ended before its decision was awaited";
+  EXPECT_TRUE(dist.crash_coordinator());
+  committer.join();
+  dist.decision_log().set_force_delay(std::chrono::microseconds(0));
+
+  EXPECT_EQ(aborted, AbortReason::kUnavailable);
+  EXPECT_EQ(dist.decision_log().stats().logged, logged);
+  EXPECT_EQ(dist.stats().coord_crashes, 1u);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    EXPECT_FALSE(dist.site(i).up()) << "site " << i << " fenced in doubt";
+  }
+  EXPECT_TRUE(dist.recover_coordinator());
+  EXPECT_EQ(dist.run_termination_protocol(), 2u);
+  EXPECT_EQ(dist.stats().termination_presumed_aborts, 2u);
+  expect_clean_abort(dist);
 }
 
 TEST(DistRuntime, RegisterMetricsExportsDistCounters) {

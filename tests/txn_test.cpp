@@ -129,7 +129,7 @@ TEST(StableLog, AppendAndSnapshot) {
   r1.txn = ActivityId{1};
   r1.commit_ts = 10;
   r1.entries.push_back({ObjectId{0}, {{op("deposit", 5), ok()}}});
-  log.append(r1);
+  EXPECT_EQ(log.append_group(r1), AppendResult::kForced);
   EXPECT_EQ(log.size(), 1u);
   const auto records = log.records();
   ASSERT_EQ(records.size(), 1u);
